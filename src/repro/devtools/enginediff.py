@@ -55,7 +55,7 @@ from repro.units import MS, SECOND
 from repro.workloads.dhrystone import DhrystoneWorkload
 from repro.workloads.interactive import InteractiveWorkload
 
-__all__ = ["SCENARIOS", "PROBES", "emit", "run_gate", "main"]
+__all__ = ["SCENARIOS", "PROBES", "emit", "format_event", "run_gate", "main"]
 
 ENGINES = ("pure", "compiled")
 PROBES = ("trace", "schedstat")
@@ -130,7 +130,8 @@ SCENARIOS: Dict[str, Callable[[], ScenarioRun]] = {
 }
 
 
-def _format_event(event: obs.Event) -> str:
+def format_event(event: obs.Event) -> str:
+    """One canonical text line per bus event (sorted fields, repr values)."""
     fields = ",".join(
         "%s=%r" % (key, event.data[key]) for key in sorted(event.data))
     return "%s t=%d %s" % (event.kind, event.time, fields)
@@ -140,7 +141,7 @@ def _trace_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
     _reset_global_counters()
     lines: List[str] = []
     with obs.BUS.subscription(
-            lambda event: lines.append(_format_event(event))):
+            lambda event: lines.append(format_event(event))):
         machine, __, horizon = builder()
         machine.run_until(horizon)
     return lines

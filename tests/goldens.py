@@ -25,15 +25,21 @@ import repro.core.sfq as sfq_module
 import repro.schedulers.fairqueue as fairqueue_module
 import repro.threads.thread as thread_module
 from repro.core.hierarchy import HierarchicalScheduler
+from repro.core.structure import SchedulingStructure
 from repro.cpu.flat import FlatScheduler
 from repro.cpu.interrupts import PoissonInterruptSource
 from repro.cpu.machine import Machine
+from repro.devtools import enginediff
 from repro.experiments.common import figure6_structure
 from repro.obs import events as obs
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.smp.machine import SmpMachine
+from repro.sync.mutex import Acquire, Release, SimMutex
+from repro.sync.semaphore import Down, Notify, SimSemaphore, Up, WaitOn, WaitQueue
+from repro.threads.segments import Compute, SegmentListWorkload, SleepFor
+from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND
 from repro.workloads.bursty import BurstyWorkload
@@ -53,18 +59,23 @@ def _reset_global_counters() -> None:
     fairqueue_module._seq = itertools.count()
 
 
-def _format_event(event: obs.Event) -> str:
-    fields = ",".join(
-        "%s=%r" % (key, event.data[key]) for key in sorted(event.data))
-    return "%s t=%d %s" % (event.kind, event.time, fields)
-
-
 def _collect(run: Callable[[], None]) -> List[str]:
     _reset_global_counters()
     lines: List[str] = []
-    with obs.BUS.subscription(lambda event: lines.append(_format_event(event))):
+    with obs.BUS.subscription(
+            lambda event: lines.append(enginediff.format_event(event))):
         run()
     return lines
+
+
+def _enginediff_stream(name: str, duration: int) -> List[str]:
+    """enginediff scenario ``name``, traced for ``duration`` ns."""
+
+    def run() -> None:
+        machine, __, ___ = enginediff.SCENARIOS[name]()
+        machine.run_until(duration)
+
+    return _collect(run)
 
 
 # --- the scenarios -----------------------------------------------------------
@@ -72,23 +83,12 @@ def _collect(run: Callable[[], None]) -> List[str]:
 
 def figure5_stream(duration: int = 2 * SECOND) -> List[str]:
     """Figure-5 SFQ arm: five equal dhrystones plus two interactive daemons."""
+    return _enginediff_stream("figure5", duration)
 
-    def run() -> None:
-        engine = Simulator()
-        machine = Machine(engine, FlatScheduler(SfqScheduler()),
-                          capacity_ips=100_000_000, default_quantum=20 * MS)
-        for index in range(5):
-            machine.spawn(SimThread("dhry-%d" % index,
-                                    DhrystoneWorkload(300, 10_000)))
-        for index in range(2):
-            rng = make_rng(11, "daemon/%d" % index)
-            machine.spawn(SimThread(
-                "daemon-%d" % index,
-                InteractiveWorkload(burst_work=400_000, think_time=120 * MS,
-                                    rng=rng)))
-        machine.run_until(duration)
 
-    return _collect(run)
+def depth8_stream(duration: int = 500 * MS) -> List[str]:
+    """Depth-8 float-tag hierarchy with churning leaves and CPU hogs."""
+    return _enginediff_stream("depth8", duration)
 
 
 def figure8_stream(duration: int = 2 * SECOND) -> List[str]:
@@ -167,12 +167,75 @@ def smp_stream(duration: int = 2 * SECOND) -> List[str]:
     return _collect(run)
 
 
+def _sync_threads() -> List[SimThread]:
+    """Workers contending for a mutex, fed through a semaphore and released
+    together from a wait queue; the last lock is held at exit."""
+    lock = SimMutex("lock")
+    items = SimSemaphore("items")
+    gate = WaitQueue("gate")
+    threads = []
+    for index in range(4):
+        segments: List[object] = [WaitOn(gate)]
+        for __ in range(3):
+            segments += [Compute(100_000), Acquire(lock),
+                         Compute(300_000 + 70_000 * index), Release(lock),
+                         Down(items), SleepFor(2 * MS)]
+        segments += [Acquire(lock), Compute(100_000)]
+        threads.append(SimThread("worker-%d" % index,
+                                 SegmentListWorkload(segments),
+                                 weight=index + 1))
+    producer: List[object] = [Compute(500_000), Notify(gate, 4)]
+    for __ in range(12):
+        producer += [Compute(600_000), Up(items)]
+    producer.append(SleepFor(MS))
+    threads.append(SimThread("producer", SegmentListWorkload(producer)))
+    return threads
+
+
+def _sync_stream(make_machine: Callable[..., object]) -> List[str]:
+    """Run the sync workload to exit over a two-level SFQ hierarchy."""
+
+    def run() -> None:
+        structure = SchedulingStructure()
+        structure.mknod("/a", 1)
+        leaves = [structure.mknod("/a/x", 1, scheduler=SfqScheduler()),
+                  structure.mknod("/a/y", 2, scheduler=SfqScheduler()),
+                  structure.mknod("/b", 2, scheduler=SfqScheduler())]
+        machine = make_machine(Simulator(), HierarchicalScheduler(structure))
+        threads = _sync_threads()
+        for index, thread in enumerate(threads):
+            leaves[index % len(leaves)].attach_thread(thread)
+            machine.spawn(thread, at=index * MS)
+        machine.run_until(SECOND)
+        stuck = [t.name for t in threads if t.state is not ThreadState.EXITED]
+        assert not stuck, "sync scenario did not run to exit: %r" % stuck
+
+    return _collect(run)
+
+
+def sync_up_stream() -> List[str]:
+    """Mutex, semaphore and wait-queue segments on one CPU."""
+    return _sync_stream(lambda engine, scheduler: Machine(
+        engine, scheduler, capacity_ips=100_000_000,
+        default_quantum=2 * MS))
+
+
+def sync_smp_stream() -> List[str]:
+    """The same synchronization workload on a two-CPU SmpMachine."""
+    return _sync_stream(lambda engine, scheduler: SmpMachine(
+        engine, scheduler, num_cpus=2, capacity_ips=100_000_000,
+        default_quantum=2 * MS))
+
+
 #: fixture name -> stream builder
 SCENARIOS: Dict[str, Callable[[], List[str]]] = {
     "figure5": figure5_stream,
     "figure8": figure8_stream,
     "interrupts": interrupt_stream,
     "smp": smp_stream,
+    "depth8": depth8_stream,
+    "sync_up": sync_up_stream,
+    "sync_smp": sync_smp_stream,
 }
 
 
