@@ -1,6 +1,6 @@
 # Convenience targets; plain pytest works too.
 
-.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine enginediff lint bench bench-quick bench-compare bench-baseline microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
+.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine enginediff lint bench bench-quick bench-compare bench-baseline perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
 
 install:
 	pip install -e .
@@ -58,6 +58,20 @@ bench-compare:
 
 bench-baseline:
 	python -m repro.perfkit baseline --quick
+
+# The repo benchmark's own checks (see perfbench/README.md): its test
+# suite, then one traced seed-1 run of each BENCHMARK.json workload, whose
+# last output line must report "correct": true (digests, conservation
+# checks and the layer-profile guard all passed).
+perfbench-check:
+	python3 -m pytest perfbench/test_perfbench.py -q
+	@for w in paper_exact deep_float churn_traced; do \
+		echo "== perfbench $$w =="; \
+		out=$$(python3 perfbench/run.py --workload $$w --seed 1 \
+			--seconds 1 --trace 1) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
+	done
 
 # pytest-benchmark microbenchmarks of the paper figures (the old `bench`)
 microbench:

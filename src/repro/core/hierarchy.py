@@ -18,12 +18,16 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.node import InternalNode, LeafNode, Node, require_leaf
 from repro.core.sfq import (
+    _CH_ENTITY,
+    _CH_FIN,
+    _CH_PARENT,
+    _CH_SLOT,
+    _CH_START,
+    _CH_STATE,
+    _VT,
     build_ancestor_chain,
     charge_chain,
     pick_leaf,
-    queue_charge,
-    queue_pick,
-    queue_set_runnable,
     sleep_chain,
     wake_chain,
 )
@@ -105,36 +109,14 @@ class HierarchicalScheduler(TopScheduler):
         root = self.structure.root
         if not root.runnable:
             return None
+        leaf, depth = pick_leaf(root, LeafNode)
+        if leaf is None:
+            raise self._descent_error(root)
         if _BUS.active:
-            # Traced walk: per-level emits, but the queue operations still
-            # go through the engine-swappable module functions so the
-            # compiled engine is exercised (and gated) under tracing too.
-            node: Node = root
-            depth = 1
-            while isinstance(node, InternalNode):
-                child = queue_pick(node.queue)
-                if child is None:
-                    raise SchedulingError(
-                        "node %r is marked runnable but has no runnable "
-                        "children" % (node.path,))
-                _BUS.emit(obs.VTIME_ADVANCE, now, node=node.path,
-                          v=float(node.queue.virtual_time))
-                node = child
-                depth += 1
-            leaf = require_leaf(node)
-        else:
-            leaf, depth = pick_leaf(root, LeafNode)
-            if leaf is None:
-                # Re-walk with the method API for the standard diagnostic.
-                node = root
-                while isinstance(node, InternalNode):
-                    child = node.queue.pick()
-                    if child is None:
-                        raise SchedulingError(
-                            "node %r is marked runnable but has no runnable "
-                            "children" % (node.path,))
-                    node = child
-                leaf = require_leaf(node)
+            # the virtual time the descent just set at each level, root first
+            for entry in reversed(self._chain_for(leaf)):
+                _BUS.emit(obs.VTIME_ADVANCE, now, node=entry[_CH_PARENT].path,
+                          v=float(entry[_CH_STATE][_VT]))
         thread = leaf.scheduler.pick_next(now)
         if thread is None:
             raise SchedulingError(
@@ -143,25 +125,36 @@ class HierarchicalScheduler(TopScheduler):
         self._decision_depth = depth
         return thread
 
+    @staticmethod
+    def _descent_error(root: Node) -> SchedulingError:
+        """Name the node whose queue stopped a failed descent.
+
+        Re-walks with the method API; pick is peek-like, so the re-walk
+        recomputes the virtual-time updates the failed descent made.
+        """
+        node = root
+        while isinstance(node, InternalNode):
+            child = node.queue.pick()
+            if child is None:
+                break
+            node = child
+        return SchedulingError(
+            "node %r is marked runnable but has no runnable children"
+            % (node.path,))
+
     def charge(self, thread: "SimThread", work: int, now: int) -> None:
         leaf = require_leaf(thread.leaf)
         leaf.scheduler.charge(thread, work, now)
+        chain = self._chain_for(leaf)
+        charge_chain(chain, work)
         if _BUS.active:
-            node: Node = leaf
-            while node.parent is not None:
-                parent = node.parent
-                queue_charge(parent.queue, node, work)
-                _BUS.emit(obs.TAG_UPDATE, now, node=node.path,
-                          start=float(parent.queue.start_tag(node)),
-                          finish=float(parent.queue.finish_tag(node)),
-                          work=work)
-                _BUS.emit(obs.VTIME_ADVANCE, now, node=parent.path,
-                          v=float(parent.queue.virtual_time))
-                node = parent
-            return
-        # Traced-off hot path: charge the static ancestor chain in one call
-        # (same levels, same order, same arithmetic as the walk above).
-        charge_chain(self._chain_for(leaf), work)
+            for entry in chain:
+                slot = entry[_CH_SLOT]
+                _BUS.emit(obs.TAG_UPDATE, now, node=entry[_CH_ENTITY].path,
+                          start=float(entry[_CH_START][slot]),
+                          finish=float(entry[_CH_FIN][slot]), work=work)
+                _BUS.emit(obs.VTIME_ADVANCE, now, node=entry[_CH_PARENT].path,
+                          v=float(entry[_CH_STATE][_VT]))
 
     def _chain_for(self, leaf: LeafNode) -> list:
         """The cached ancestor chain of ``leaf``, rebuilt on tree changes."""
@@ -201,21 +194,24 @@ class HierarchicalScheduler(TopScheduler):
         if leaf.runnable:
             return
         leaf.runnable = True
-        if _BUS.active:
-            node: Node = leaf
-            while node.parent is not None:
-                parent = node.parent
-                queue_set_runnable(parent.queue, node)
-                _BUS.emit(obs.TAG_UPDATE, self.clock(), node=node.path,
-                          start=float(parent.queue.start_tag(node)),
-                          finish=float(parent.queue.finish_tag(node)),
-                          work=0)
-                if parent.runnable:
-                    break
-                parent.runnable = True
-                node = parent
+        chain = self._chain_for(leaf)
+        if not _BUS.active:
+            wake_chain(chain)
             return
-        wake_chain(self._chain_for(leaf))
+        # wake_chain stamps every level up to and including the first
+        # ancestor that is already runnable: count them before it runs
+        walked = 0
+        for entry in chain:
+            walked += 1
+            if entry[_CH_PARENT].runnable:
+                break
+        wake_chain(chain)
+        now = self.clock()
+        for entry in chain[:walked]:
+            slot = entry[_CH_SLOT]
+            _BUS.emit(obs.TAG_UPDATE, now, node=entry[_CH_ENTITY].path,
+                      start=float(entry[_CH_START][slot]),
+                      finish=float(entry[_CH_FIN][slot]), work=0)
 
     def sleep(self, leaf: LeafNode) -> None:
         """Mark ``leaf`` idle and propagate up while ancestors become idle."""

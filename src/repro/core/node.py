@@ -9,7 +9,7 @@ runnable flag, and (for internal nodes) the SFQ queue of runnable children.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.core.sfq import SfqQueue
 from repro.core.tags import TagMath
@@ -127,7 +127,9 @@ class LeafNode(Node):
                  scheduler: "LeafScheduler") -> None:
         super().__init__(name, weight, parent)
         self.scheduler = scheduler
-        self.threads: Set["SimThread"] = set()
+        #: attached threads, as an ordered set: iteration follows attach
+        #: order, never object addresses (float sums over it must repeat)
+        self.threads: Dict["SimThread", None] = {}
 
     @property
     def is_leaf(self) -> bool:
@@ -138,7 +140,7 @@ class LeafNode(Node):
         if thread.leaf is not None:
             raise StructureError(
                 "thread %r is already attached to %r" % (thread, thread.leaf))
-        self.threads.add(thread)
+        self.threads[thread] = None
         thread.leaf = self
         self.scheduler.add_thread(thread)
 
@@ -147,7 +149,7 @@ class LeafNode(Node):
         if thread not in self.threads:
             raise StructureError("thread %r is not attached to %r" % (thread, self))
         self.scheduler.remove_thread(thread)
-        self.threads.discard(thread)
+        del self.threads[thread]
         thread.leaf = None
 
     def iter_subtree(self) -> Iterator[Node]:

@@ -47,15 +47,12 @@ reference the compiled engine is gated against.
 
 from __future__ import annotations
 
-import itertools
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.arena import SfqArena
 from repro.core.tags import EXACT, Tag, TagMath
 from repro.errors import SchedulingError
-
-_arrival_seq = itertools.count()
 
 # Indices into SfqQueue._state (mirrored by the compiled engine).
 _VT = 0    # virtual time v
@@ -82,11 +79,15 @@ class SfqQueue:
     """A single SFQ scheduling queue over weighted entities."""
 
     __slots__ = ("tags", "arena", "_slots", "_heap", "_state", "_solo",
-                 "_float_fast", "_cview")
+                 "_float_fast", "_cview", "_arrivals")
 
     def __init__(self, tag_math: Optional[TagMath] = None) -> None:
         self.tags = tag_math if tag_math is not None else EXACT
         self.arena = arena = SfqArena()
+        #: entities added so far: the tie-break sequence between equal
+        #: start tags (an int, not a counter object, because every tree
+        #: node builds a queue)
+        self._arrivals = 0
         #: id(entity) -> slot; the only object-keyed structure on the queue
         self._slots: Dict[int, int] = {}
         self._heap: List[Tuple[Tag, int, int, int]] = []
@@ -126,7 +127,8 @@ class SfqQueue:
         if key in slots:
             raise SchedulingError("entity %r already in SFQ queue" % (entity,))
         arena = self.arena
-        slot = arena.alloc(entity, self.tags.zero(), next(_arrival_seq))
+        slot = arena.alloc(entity, self.tags.zero(), self._arrivals)
+        self._arrivals += 1
         slots[key] = slot
         count = len(slots)
         if count == 1:
@@ -337,10 +339,10 @@ class SfqQueue:
 
 # --- module-level per-queue operations (engine-swappable) --------------------
 #
-# The leaf SFQ scheduler and the hierarchy's traced paths go through these
-# module-level names instead of the bound methods, so selecting the
-# compiled engine routes every hot per-queue operation — including the ones
-# exercised while the observability bus is attached — through one seam.
+# The leaf SFQ scheduler goes through these module-level names instead of
+# the bound methods, so selecting the compiled engine routes its per-thread
+# queue operations through the same seam as the hierarchy's chain walks
+# below.
 
 queue_pick = SfqQueue.pick
 queue_set_runnable = SfqQueue.set_runnable

@@ -21,6 +21,11 @@ Event priorities at equal timestamps: interrupts fire first, then wakeups,
 then burst completions, then deferred dispatch attempts.  This ordering is
 deterministic and makes a thread waking exactly at a quantum boundary
 eligible for that boundary's scheduling decision.
+
+:class:`MachineBase` holds what happens to a thread off the CPU: spawn,
+workload segments (including synchronization), sleep and wakeup, and exit.
+This machine and :class:`~repro.smp.machine.SmpMachine` both inherit it;
+each keeps its own dispatch path.
 """
 
 from __future__ import annotations
@@ -96,18 +101,14 @@ class MachineStats:
         return now - self.busy_time - self.interrupt_time - self.overhead_time
 
 
-class Machine:
-    """A single simulated CPU driven by a :class:`TopScheduler`."""
+class MachineBase:
+    """The off-CPU thread lifecycle shared by both machines."""
 
-    PRIORITY_INTERRUPT = -10
     PRIORITY_WAKEUP = 0
     PRIORITY_COMPLETION = 10
-    PRIORITY_DISPATCH = 20
 
     def __init__(self, engine: Simulator, scheduler: TopScheduler,
-                 capacity_ips: int = 100_000_000, default_quantum: int = 20 * MS,
-                 cost_model: Optional[SchedulingCostModel] = None,
-                 tracer=None) -> None:
+                 capacity_ips: int, default_quantum: int, tracer) -> None:
         if capacity_ips <= 0:
             raise SimulationError("capacity must be positive")
         if default_quantum <= 0:
@@ -121,14 +122,195 @@ class Machine:
         self.default_quantum = default_quantum
         #: default quantum pre-converted to instructions (per-dispatch path)
         self._default_quantum_work = work_from_time(default_quantum, capacity_ips)
-        self.cost_model = cost_model if cost_model is not None else SchedulingCostModel()
         self.tracer = tracer
-        self.stats = MachineStats()
         self.threads: List[SimThread] = []
+        #: compiled wakeup entry scheduled in place of ``_on_wakeup``, or None
+        self._turbo_wake = None
 
         # Hierarchical schedulers want a clock for hsfq_move bookkeeping.
         if hasattr(scheduler, "clock"):
             scheduler.clock = lambda: self.engine.now
+
+    def _make_runnable(self, thread: SimThread) -> None:
+        """Queue ``thread`` with the scheduler and dispatch if a CPU is free."""
+        raise NotImplementedError
+
+    # --- spawning / workload advancement ----------------------------------
+
+    def _do_spawn(self, thread: SimThread) -> None:
+        now = self.engine.now
+        thread.stats.created_at = now
+        self.scheduler.admit(thread)
+        if self.tracer is not None:
+            self.tracer.on_spawn(thread, now)
+        if _BUS.active:
+            _BUS.emit(obs.SPAWN, now, tid=thread.tid, name=thread.name,
+                         node=_leaf_path(thread), weight=thread.weight)
+        self._settle(thread)
+
+    def _settle(self, thread: SimThread) -> None:
+        """Pull the next segment of an off-CPU thread and act on it.
+
+        Used at spawn and at wakeup; the thread is NEW or SLEEPING.
+        """
+        now = self.engine.now
+        outcome, wake_time = self._advance_workload(thread)
+        if outcome == _OUTCOME_RUN:
+            self._make_runnable(thread)
+        elif outcome == _OUTCOME_EXIT:
+            thread.transition(ThreadState.EXITED)
+            thread.stats.exited_at = now
+            self._retire(thread, now)
+        else:
+            if thread.state is not ThreadState.SLEEPING:
+                thread.transition(ThreadState.SLEEPING)
+            if outcome == _OUTCOME_SLEEP:
+                self._schedule_wakeup(thread, wake_time)
+            else:
+                self._report_sync_wait(thread, now)
+
+    def _advance_workload(self, thread: SimThread):
+        """Pull segments until the thread has work, sleeps, or exits."""
+        now = self.engine.now
+        for __ in range(_MAX_SEGMENT_PULLS):
+            segment = thread.workload.next_segment(now, thread)
+            if segment is None or isinstance(segment, Exit):
+                return _OUTCOME_EXIT, None
+            if isinstance(segment, Compute):
+                thread.remaining_work = segment.work
+                return _OUTCOME_RUN, None
+            if isinstance(segment, SleepFor):
+                if segment.duration == 0:
+                    continue
+                return _OUTCOME_SLEEP, now + segment.duration
+            if isinstance(segment, SleepUntil):
+                if segment.wakeup <= now:
+                    continue
+                return _OUTCOME_SLEEP, segment.wakeup
+            if isinstance(segment, Acquire):
+                if segment.mutex.try_acquire(thread):
+                    thread.held_mutexes.append(segment.mutex)
+                    continue
+                segment.mutex.enqueue_waiter(thread)
+                return _OUTCOME_WAIT, None
+            if isinstance(segment, Release):
+                self._release_mutex(thread, segment.mutex)
+                continue
+            if isinstance(segment, Down):
+                if segment.semaphore.try_down(thread):
+                    continue
+                segment.semaphore.enqueue_waiter(thread)
+                return _OUTCOME_WAIT, None
+            if isinstance(segment, Up):
+                granted = segment.semaphore.up()
+                if granted is not None:
+                    self._defer_wake(granted)
+                continue
+            if isinstance(segment, WaitOn):
+                segment.queue.enqueue_waiter(thread)
+                return _OUTCOME_WAIT, None
+            if isinstance(segment, Notify):
+                for woken in segment.queue.notify(segment.count):
+                    self._defer_wake(woken)
+                continue
+            raise WorkloadError(
+                "workload %r produced unknown segment %r"
+                % (thread.workload, segment))
+        raise WorkloadError(
+            "workload for %r produced %d zero-length segments in a row"
+            % (thread, _MAX_SEGMENT_PULLS))
+
+    def _report_sync_wait(self, thread: SimThread, now: int) -> None:
+        """Trace a block on a mutex, semaphore or wait queue (no wake time:
+        a release or notify wakes it)."""
+        if self.tracer is not None:
+            self.tracer.on_block(thread, now, -1)
+        if _BUS.active:
+            _BUS.emit(obs.BLOCK, now, tid=thread.tid,
+                         node=_leaf_path(thread), wake=-1)
+
+    def _retire(self, thread: SimThread, now: int) -> None:
+        """Release what an EXITED thread still holds and retire it."""
+        self._release_held_mutexes(thread)
+        if _BUS.active:
+            _BUS.emit(obs.EXIT, now, tid=thread.tid,
+                         node=_leaf_path(thread))
+        self.scheduler.retire(thread, now)
+        if self.tracer is not None:
+            self.tracer.on_exit(thread, now)
+
+    # --- sleep / wakeup ----------------------------------------------------
+
+    def _schedule_wakeup(self, thread: SimThread, wake_time: int) -> None:
+        if self.tracer is not None:
+            self.tracer.on_block(thread, self.engine.now, wake_time)
+        if _BUS.active:
+            _BUS.emit(obs.BLOCK, self.engine.now, tid=thread.tid,
+                         node=_leaf_path(thread), wake=wake_time)
+        if self._turbo_wake is not None:
+            thread.wakeup_handle = self.engine.at(
+                wake_time, self._turbo_wake, (self, thread),
+                priority=self.PRIORITY_WAKEUP)
+        else:
+            thread.wakeup_handle = self.engine.at(
+                wake_time, self._on_wakeup, thread,
+                priority=self.PRIORITY_WAKEUP)
+
+    def _on_wakeup(self, thread: SimThread) -> None:
+        thread.wakeup_handle = None
+        thread.stats.wakeups += 1
+        if self.tracer is not None:
+            self.tracer.on_wake(thread, self.engine.now)
+        if _BUS.active:
+            _BUS.emit(obs.WAKE, self.engine.now, tid=thread.tid,
+                         node=_leaf_path(thread))
+        if thread.remaining_work > 0:
+            # Woke with unfinished compute (blocked mid-segment cannot
+            # happen today, but a moved/suspended thread resumes here).
+            self._make_runnable(thread)
+        else:
+            self._settle(thread)
+
+    # --- mutexes -----------------------------------------------------------
+
+    def _defer_wake(self, thread: SimThread) -> None:
+        """Wake a synchronization waiter via an immediate engine event.
+
+        Deferring ensures the waking thread's own dispatch is fully
+        settled (charged, requeued) before the waiter competes for the
+        CPU.
+        """
+        self.engine.at(self.engine.now, self._on_wakeup, thread,
+                       priority=self.PRIORITY_WAKEUP)
+
+    def _release_mutex(self, thread: SimThread, mutex) -> None:
+        """Release ``mutex``; the granted waiter (if any) wakes deferred."""
+        thread.held_mutexes.remove(mutex)
+        granted = mutex.release(thread)
+        if granted is not None:
+            granted.held_mutexes.append(mutex)
+            self._defer_wake(granted)
+
+    def _release_held_mutexes(self, thread: SimThread) -> None:
+        """An exiting thread implicitly releases everything it still holds."""
+        while thread.held_mutexes:
+            self._release_mutex(thread, thread.held_mutexes[-1])
+
+
+class Machine(MachineBase):
+    """A single simulated CPU driven by a :class:`TopScheduler`."""
+
+    PRIORITY_INTERRUPT = -10
+    PRIORITY_DISPATCH = 20
+
+    def __init__(self, engine: Simulator, scheduler: TopScheduler,
+                 capacity_ips: int = 100_000_000, default_quantum: int = 20 * MS,
+                 cost_model: Optional[SchedulingCostModel] = None,
+                 tracer=None) -> None:
+        super().__init__(engine, scheduler, capacity_ips, default_quantum,
+                         tracer)
+        self.cost_model = cost_model if cost_model is not None else SchedulingCostModel()
+        self.stats = MachineStats()
 
         # --- dispatch state ------------------------------------------------
         self.current: Optional[SimThread] = None
@@ -199,101 +381,7 @@ class Machine:
             return 0.0
         return self.stats.busy_time / self.engine.now
 
-    # --- spawning / workload advancement ----------------------------------
-
-    def _do_spawn(self, thread: SimThread) -> None:
-        now = self.engine.now
-        thread.stats.created_at = now
-        self.scheduler.admit(thread)
-        if self.tracer is not None:
-            self.tracer.on_spawn(thread, now)
-        if _BUS.active:
-            _BUS.emit(obs.SPAWN, now, tid=thread.tid, name=thread.name,
-                         node=_leaf_path(thread), weight=thread.weight)
-        self._settle(thread)
-
-    def _settle(self, thread: SimThread) -> None:
-        """Pull the next segment of an off-CPU thread and act on it.
-
-        Used at spawn and at wakeup; the thread is NEW or SLEEPING.
-        """
-        now = self.engine.now
-        outcome, wake_time = self._advance_workload(thread)
-        if outcome == _OUTCOME_RUN:
-            self._make_runnable(thread)
-        elif outcome == _OUTCOME_SLEEP:
-            if thread.state is not ThreadState.SLEEPING:
-                thread.transition(ThreadState.SLEEPING)
-            self._schedule_wakeup(thread, wake_time)
-        elif outcome == _OUTCOME_WAIT:
-            if thread.state is not ThreadState.SLEEPING:
-                thread.transition(ThreadState.SLEEPING)
-            if self.tracer is not None:
-                self.tracer.on_block(thread, now, -1)
-            if _BUS.active:
-                _BUS.emit(obs.BLOCK, now, tid=thread.tid,
-                             node=_leaf_path(thread), wake=-1)
-        else:
-            thread.transition(ThreadState.EXITED)
-            thread.stats.exited_at = now
-            self._release_held_mutexes(thread)
-            if _BUS.active:
-                _BUS.emit(obs.EXIT, now, tid=thread.tid,
-                             node=_leaf_path(thread))
-            self.scheduler.retire(thread, now)
-            if self.tracer is not None:
-                self.tracer.on_exit(thread, now)
-
-    def _advance_workload(self, thread: SimThread):
-        """Pull segments until the thread has work, sleeps, or exits."""
-        now = self.engine.now
-        for __ in range(_MAX_SEGMENT_PULLS):
-            segment = thread.workload.next_segment(now, thread)
-            if segment is None or isinstance(segment, Exit):
-                return _OUTCOME_EXIT, None
-            if isinstance(segment, Compute):
-                thread.remaining_work = segment.work
-                return _OUTCOME_RUN, None
-            if isinstance(segment, SleepFor):
-                if segment.duration == 0:
-                    continue
-                return _OUTCOME_SLEEP, now + segment.duration
-            if isinstance(segment, SleepUntil):
-                if segment.wakeup <= now:
-                    continue
-                return _OUTCOME_SLEEP, segment.wakeup
-            if isinstance(segment, Acquire):
-                if segment.mutex.try_acquire(thread):
-                    thread.held_mutexes.append(segment.mutex)
-                    continue
-                segment.mutex.enqueue_waiter(thread)
-                return _OUTCOME_WAIT, None
-            if isinstance(segment, Release):
-                self._release_mutex(thread, segment.mutex)
-                continue
-            if isinstance(segment, Down):
-                if segment.semaphore.try_down(thread):
-                    continue
-                segment.semaphore.enqueue_waiter(thread)
-                return _OUTCOME_WAIT, None
-            if isinstance(segment, Up):
-                granted = segment.semaphore.up()
-                if granted is not None:
-                    self._defer_wake(granted)
-                continue
-            if isinstance(segment, WaitOn):
-                segment.queue.enqueue_waiter(thread)
-                return _OUTCOME_WAIT, None
-            if isinstance(segment, Notify):
-                for woken in segment.queue.notify(segment.count):
-                    self._defer_wake(woken)
-                continue
-            raise WorkloadError(
-                "workload %r produced unknown segment %r"
-                % (thread.workload, segment))
-        raise WorkloadError(
-            "workload for %r produced %d zero-length segments in a row"
-            % (thread, _MAX_SEGMENT_PULLS))
+    # --- wakeups -----------------------------------------------------------
 
     def _make_runnable(self, thread: SimThread) -> None:
         now = self.engine.now
@@ -310,38 +398,6 @@ class Machine:
                 and self.scheduler.should_preempt(self.current, thread, now)):
             self._preempt_current()
         self._maybe_dispatch()
-
-    # --- sleep / wakeup ----------------------------------------------------
-
-    def _schedule_wakeup(self, thread: SimThread, wake_time: int) -> None:
-        if self.tracer is not None:
-            self.tracer.on_block(thread, self.engine.now, wake_time)
-        if _BUS.active:
-            _BUS.emit(obs.BLOCK, self.engine.now, tid=thread.tid,
-                         node=_leaf_path(thread), wake=wake_time)
-        if self._turbo_wake is not None:
-            thread.wakeup_handle = self.engine.at(
-                wake_time, self._turbo_wake, (self, thread),
-                priority=self.PRIORITY_WAKEUP)
-        else:
-            thread.wakeup_handle = self.engine.at(
-                wake_time, self._on_wakeup, thread,
-                priority=self.PRIORITY_WAKEUP)
-
-    def _on_wakeup(self, thread: SimThread) -> None:
-        thread.wakeup_handle = None
-        thread.stats.wakeups += 1
-        if self.tracer is not None:
-            self.tracer.on_wake(thread, self.engine.now)
-        if _BUS.active:
-            _BUS.emit(obs.WAKE, self.engine.now, tid=thread.tid,
-                         node=_leaf_path(thread))
-        if thread.remaining_work > 0:
-            # Woke with unfinished compute (blocked mid-segment cannot
-            # happen today, but a moved/suspended thread resumes here).
-            self._make_runnable(thread)
-        else:
-            self._settle(thread)
 
     # --- dispatching ---------------------------------------------------------
 
@@ -540,46 +596,11 @@ class Machine:
             self._schedule_wakeup(thread, wake_time)
         elif outcome == _OUTCOME_WAIT:
             self.scheduler.thread_blocked(thread, now)
-            if self.tracer is not None:
-                self.tracer.on_block(thread, now, -1)
-            if _BUS.active:
-                _BUS.emit(obs.BLOCK, now, tid=thread.tid,
-                             node=_leaf_path(thread), wake=-1)
+            self._report_sync_wait(thread, now)
         elif outcome == _OUTCOME_EXIT:
-            self._release_held_mutexes(thread)
-            if _BUS.active:
-                _BUS.emit(obs.EXIT, now, tid=thread.tid,
-                             node=_leaf_path(thread))
-            self.scheduler.retire(thread, now)
-            if self.tracer is not None:
-                self.tracer.on_exit(thread, now)
+            self._retire(thread, now)
 
         self._maybe_dispatch()
-
-    # --- mutexes -----------------------------------------------------------
-
-    def _defer_wake(self, thread: SimThread) -> None:
-        """Wake a synchronization waiter via an immediate engine event.
-
-        Deferring ensures the waking thread's own dispatch is fully
-        settled (charged, requeued) before the waiter competes for the
-        CPU.
-        """
-        self.engine.at(self.engine.now, self._on_wakeup, thread,
-                       priority=self.PRIORITY_WAKEUP)
-
-    def _release_mutex(self, thread: SimThread, mutex) -> None:
-        """Release ``mutex``; the granted waiter (if any) wakes deferred."""
-        thread.held_mutexes.remove(mutex)
-        granted = mutex.release(thread)
-        if granted is not None:
-            granted.held_mutexes.append(mutex)
-            self._defer_wake(granted)
-
-    def _release_held_mutexes(self, thread: SimThread) -> None:
-        """An exiting thread implicitly releases everything it still holds."""
-        while thread.held_mutexes:
-            self._release_mutex(thread, thread.held_mutexes[-1])
 
     # --- interrupts ----------------------------------------------------------
 

@@ -65,14 +65,10 @@ ScenarioRun = Tuple[Machine, List[SimThread], int]
 
 
 def _reset_global_counters() -> None:
-    """Pin process-global sequences so streams ignore import order."""
-    import repro.core.sfq as sfq_module
-    import repro.schedulers.fairqueue as fairqueue_module
+    """Pin the process-global tid sequence so streams ignore import order."""
     import repro.threads.thread as thread_module
 
     thread_module._tid_counter = itertools.count(1)
-    sfq_module._arrival_seq = itertools.count()
-    fairqueue_module._seq = itertools.count()
 
 
 def _figure5() -> ScenarioRun:

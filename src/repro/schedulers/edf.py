@@ -22,8 +22,6 @@ from repro.schedulers.base import LeafScheduler
 if TYPE_CHECKING:  # pragma: no cover
     from repro.threads.thread import SimThread
 
-_seq = itertools.count()
-
 
 class _EdfRecord:
     __slots__ = ("thread", "deadline", "relative_deadline", "runnable", "version")
@@ -44,6 +42,8 @@ class EdfScheduler(LeafScheduler):
     def __init__(self, quantum: Optional[int] = None) -> None:
         self._records: Dict[int, _EdfRecord] = {}
         self._heap: List[Tuple[int, int, int, _EdfRecord]] = []
+        #: push order, breaking ties between equal heap keys
+        self._seq = itertools.count()
         self._runnable = 0
         self._quantum = quantum
 
@@ -73,7 +73,7 @@ class EdfScheduler(LeafScheduler):
         record.version += 1
         self._runnable += 1
         heapq.heappush(self._heap,
-                       (record.deadline, next(_seq), record.version, record))
+                       (record.deadline, next(self._seq), record.version, record))
 
     def on_block(self, thread: "SimThread", now: int) -> None:
         record = self._record(thread)

@@ -42,8 +42,6 @@ _BUS = obs.BUS
 if TYPE_CHECKING:  # pragma: no cover
     from repro.threads.thread import SimThread
 
-_seq = itertools.count()
-
 
 class _FqRecord:
     __slots__ = ("thread", "start", "finish", "runnable", "version", "epoch",
@@ -76,6 +74,8 @@ class _FairQueueBase(LeafScheduler):
         self.assumed_quantum_work = assumed_quantum_work
         self._records: Dict[int, _FqRecord] = {}
         self._heap: List[Tuple[float, int, int, _FqRecord]] = []
+        #: push order, breaking ties between equal heap keys
+        self._seq = itertools.count()
         self._runnable = 0
         self._quantum = quantum
         self._epoch = 0
@@ -200,7 +200,7 @@ class _FairQueueBase(LeafScheduler):
     def _push(self, record: _FqRecord) -> None:
         record.version += 1
         heappush(self._heap,
-                 (self._key(record), next(_seq), record.version, record))
+                 (self._key(record), next(self._seq), record.version, record))
 
     def _peek(self) -> Optional[_FqRecord]:
         heap = self._heap

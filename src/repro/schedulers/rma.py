@@ -18,8 +18,6 @@ from repro.schedulers.base import LeafScheduler
 if TYPE_CHECKING:  # pragma: no cover
     from repro.threads.thread import SimThread
 
-_seq = itertools.count()
-
 
 class _RmaRecord:
     __slots__ = ("thread", "base_period", "inherited_period", "runnable",
@@ -49,6 +47,8 @@ class RmaScheduler(LeafScheduler):
     def __init__(self, quantum: Optional[int] = None) -> None:
         self._records: Dict[int, _RmaRecord] = {}
         self._heap: List[Tuple[int, int, int, _RmaRecord]] = []
+        #: push order, breaking ties between equal heap keys
+        self._seq = itertools.count()
         self._runnable = 0
         self._quantum = quantum
 
@@ -75,7 +75,7 @@ class RmaScheduler(LeafScheduler):
         record.version += 1
         self._runnable += 1
         heapq.heappush(self._heap,
-                       (record.period, next(_seq), record.version, record))
+                       (record.period, next(self._seq), record.version, record))
 
     def on_block(self, thread: "SimThread", now: int) -> None:
         record = self._record(thread)
@@ -119,7 +119,7 @@ class RmaScheduler(LeafScheduler):
             # re-key the heap entry at the new effective priority
             record.version += 1
             heapq.heappush(self._heap,
-                           (record.period, next(_seq), record.version,
+                           (record.period, next(self._seq), record.version,
                             record))
 
     def effective_period_of(self, thread: "SimThread") -> int:

@@ -26,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: fixed-point scale for stride arithmetic (stride1 in the original paper)
 STRIDE1 = 1 << 20
 
-_seq = itertools.count()
-
 
 class _StrideRecord:
     __slots__ = ("thread", "pass_value", "runnable", "version")
@@ -47,6 +45,8 @@ class StrideScheduler(LeafScheduler):
     def __init__(self, quantum: Optional[int] = None) -> None:
         self._records: Dict[int, _StrideRecord] = {}
         self._heap: List[Tuple[int, int, int, _StrideRecord]] = []
+        #: push order, breaking ties between equal heap keys
+        self._seq = itertools.count()
         self._runnable = 0
         self._quantum = quantum
         self._global_pass = 0
@@ -115,7 +115,7 @@ class StrideScheduler(LeafScheduler):
     def _push(self, record: _StrideRecord) -> None:
         record.version += 1
         heapq.heappush(self._heap,
-                       (record.pass_value, next(_seq), record.version, record))
+                       (record.pass_value, next(self._seq), record.version, record))
 
     def _peek(self) -> Optional[_StrideRecord]:
         heap = self._heap

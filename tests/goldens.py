@@ -21,8 +21,6 @@ import json
 import os
 from typing import Callable, Dict, List
 
-import repro.core.sfq as sfq_module
-import repro.schedulers.fairqueue as fairqueue_module
 import repro.threads.thread as thread_module
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
@@ -53,10 +51,8 @@ HEAD_LINES = 40
 
 
 def _reset_global_counters() -> None:
-    """Pin every process-global sequence so streams ignore test order."""
+    """Pin the process-global tid sequence so streams ignore test order."""
     thread_module._tid_counter = itertools.count(1)
-    sfq_module._arrival_seq = itertools.count()
-    fairqueue_module._seq = itertools.count()
 
 
 def _collect(run: Callable[[], None]) -> List[str]:

@@ -94,6 +94,16 @@ class TestArenaBasics:
 class TestQueueChurn:
     """add/remove churn through the SfqQueue facade must not leak state."""
 
+    def test_arrival_sequence_is_per_queue(self):
+        """Tie-breaks never depend on how many queues existed before."""
+        SfqQueue().add(Entity(0))
+        queue = SfqQueue()
+        first, second = Entity(1), Entity(2)
+        queue.add(first)
+        queue.add(second)
+        assert queue.arena.seq[queue.slot_of(first)] == 0
+        assert queue.arena.seq[queue.slot_of(second)] == 1
+
     def test_reused_slot_starts_clean(self):
         queue = SfqQueue()
         old, stay = Entity(0, weight=2), Entity(1, weight=3)

@@ -1,21 +1,24 @@
 """The hierarchy's cached ancestor chains: invalidation and equivalence.
 
-The traced-off fast path charges/wakes/sleeps through per-leaf cached
-``(queue, record, node, parent)`` chains (``repro.core.sfq``), invalidated
-by ``structure.tree_version`` whenever ``mknod``/``rmnod`` reshape the
-tree.  Two guarantees are pinned here:
+The hierarchy picks, charges, wakes and sleeps through per-leaf cached
+ancestor chains (``repro.core.sfq``), invalidated by
+``structure.tree_version`` whenever ``mknod``/``rmnod`` reshape the tree.
+Three guarantees are pinned here:
 
-1. the fast path is behaviourally identical to the per-level method walk
-   that runs while the observability bus is active;
-2. tree mutations mid-run (grow a subtree, remove a leaf, move threads)
+1. the chain path is behaviourally identical to a per-level walk over the
+   :class:`~repro.core.sfq.SfqQueue` methods (:class:`ReferenceWalk`),
+   traced or not, including the events it emits;
+2. a traced wake reports exactly the levels it stamped;
+3. tree mutations mid-run (grow a subtree, remove a leaf, move threads)
    never leave a stale chain behind.
 """
 
 import pytest
 
 from repro.core.hierarchy import HierarchicalScheduler
+from repro.core.node import InternalNode, require_leaf
 from repro.core.structure import SchedulingStructure
-from repro.errors import StructureError
+from repro.errors import SchedulingError, StructureError
 from repro.obs import events as obs
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.threads.segments import SegmentListWorkload
@@ -27,12 +30,80 @@ def make_thread(name="t", weight=1):
     return SimThread(name, SegmentListWorkload([]), weight=weight)
 
 
+class ReferenceWalk(HierarchicalScheduler):
+    """hsfq_schedule/update/setrun/sleep as per-level SfqQueue method
+    calls, emitting each level's events as it goes; no chains."""
+
+    def pick_next(self, now):
+        node = self.structure.root
+        if not node.runnable:
+            return None
+        depth = 1
+        while isinstance(node, InternalNode):
+            child = node.queue.pick()
+            if child is None:
+                raise SchedulingError("%r has no runnable child" % node.path)
+            if obs.BUS.active:
+                obs.BUS.emit(obs.VTIME_ADVANCE, now, node=node.path,
+                             v=float(node.queue.virtual_time))
+            node = child
+            depth += 1
+        self._decision_depth = depth
+        return require_leaf(node).scheduler.pick_next(now)
+
+    def charge(self, thread, work, now):
+        leaf = require_leaf(thread.leaf)
+        leaf.scheduler.charge(thread, work, now)
+        node = leaf
+        while node.parent is not None:
+            queue = node.parent.queue
+            queue.charge(node, work)
+            if obs.BUS.active:
+                obs.BUS.emit(obs.TAG_UPDATE, now, node=node.path,
+                             start=float(queue.start_tag(node)),
+                             finish=float(queue.finish_tag(node)), work=work)
+                obs.BUS.emit(obs.VTIME_ADVANCE, now, node=node.parent.path,
+                             v=float(queue.virtual_time))
+            node = node.parent
+
+    def setrun(self, leaf):
+        if leaf.runnable:
+            return
+        leaf.runnable = True
+        node = leaf
+        while node.parent is not None:
+            parent = node.parent
+            parent.queue.set_runnable(node)
+            if obs.BUS.active:
+                obs.BUS.emit(obs.TAG_UPDATE, self.clock(), node=node.path,
+                             start=float(parent.queue.start_tag(node)),
+                             finish=float(parent.queue.finish_tag(node)),
+                             work=0)
+            if parent.runnable:
+                return
+            parent.runnable = True
+            node = parent
+
+    def sleep(self, leaf):
+        if not leaf.runnable:
+            return
+        leaf.runnable = False
+        node = leaf
+        while node.parent is not None:
+            parent = node.parent
+            parent.queue.set_blocked(node)
+            if parent.queue.has_runnable():
+                return
+            parent.runnable = False
+            node = parent
+
+
 class Driver:
     """A structure plus helpers to drive the same op script twice."""
 
-    def __init__(self):
+    def __init__(self, scheduler_class=HierarchicalScheduler):
         self.structure = SchedulingStructure()
-        self.scheduler = HierarchicalScheduler(self.structure)
+        self.scheduler = scheduler_class(self.structure)
         self.class_a = self.structure.mknod("/classA", 2)
         self.leaf1 = self.structure.mknod("/classA/leaf1", 1,
                                           scheduler=SfqScheduler())
@@ -95,23 +166,55 @@ def run_script(driver):
     return picks
 
 
-def test_fast_path_matches_traced_walk():
-    """Chain-cache scheduling == per-level walk (bus active), op for op."""
-    fast = Driver()
-    fast_picks = run_script(fast)
+def _traced_script(driver):
+    events = []
+    with obs.BUS.subscription(
+            lambda event: events.append((event.kind, event.time, event.data))):
+        picks = run_script(driver)
+    return picks, events
 
-    traced = Driver()
-    subscriber = obs.BUS.subscribe(lambda event: None)
-    try:
-        assert obs.BUS.active
-        traced_picks = run_script(traced)
-    finally:
-        obs.BUS.unsubscribe(subscriber)
 
-    assert fast_picks == traced_picks
-    fast_tags = fast.tag_snapshot()
-    traced_tags = traced.tag_snapshot()
-    assert fast_tags == traced_tags
+def test_chain_path_matches_reference_walk():
+    """Chain scheduling == per-level method walk, op for op and event for
+    event, with the bus idle and with it attached."""
+    if not obs.BUS.active:
+        chains, reference = Driver(), Driver(ReferenceWalk)
+        assert run_script(chains) == run_script(reference)
+        assert chains.tag_snapshot() == reference.tag_snapshot()
+
+    chains, reference = Driver(), Driver(ReferenceWalk)
+    chain_picks, chain_events = _traced_script(chains)
+    reference_picks, reference_events = _traced_script(reference)
+    assert chain_picks == reference_picks
+    assert chains.tag_snapshot() == reference.tag_snapshot()
+    assert chain_events == reference_events
+    assert any(kind == obs.TAG_UPDATE for kind, __, ___ in chain_events)
+
+
+def test_traced_setrun_reports_the_levels_it_stamped():
+    """One tag-update per level walked, stopping at the first ancestor
+    that was already runnable."""
+    structure = SchedulingStructure()
+    scheduler = HierarchicalScheduler(structure)
+    structure.mknod("/a", 1)
+    structure.mknod("/a/b", 1)
+    first = structure.mknod("/a/b/first", 1, scheduler=SfqScheduler())
+    second = structure.mknod("/a/second", 1, scheduler=SfqScheduler())
+
+    def woken(leaf):
+        events = []
+        with obs.BUS.subscription(events.append):
+            scheduler.setrun(leaf)
+        assert all(event.kind == obs.TAG_UPDATE for event in events)
+        return [event.data["node"] for event in events]
+
+    # nothing runnable yet: every level up to the root is stamped
+    assert woken(first) == ["/a/b/first", "/a/b", "/a"]
+    # /a is already runnable: stamp /a/second, then stop
+    assert woken(second) == ["/a/second"]
+    # already runnable leaf: no walk at all
+    assert woken(first) == []
+    assert structure.root.runnable
 
 
 def test_tree_version_bumps_on_mknod_and_rmnod():
@@ -128,8 +231,6 @@ def test_tree_version_bumps_on_mknod_and_rmnod():
 
 
 def test_chains_rebuilt_after_mknod():
-    if obs.BUS.active:  # REPRO_OBS=1: the traced walk bypasses the cache
-        pytest.skip("chain cache is not exercised while the bus is active")
     driver = Driver()
     driver.spawn("a", driver.leaf1)
     driver.serve(10)

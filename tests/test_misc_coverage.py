@@ -143,6 +143,21 @@ class TestLeafNodeState:
         assert thread.leaf is None
         assert not leaf.threads
 
+    def test_leaf_threads_iterate_in_attach_order(self):
+        """Not in address order: qos.monitor sums float work over them."""
+        structure = SchedulingStructure()
+        leaf = structure.mknod("/l", 1, scheduler=SfqScheduler())
+        from repro.threads.segments import SegmentListWorkload
+        from repro.threads.thread import SimThread
+        threads = [SimThread("t%d" % i, SegmentListWorkload([]))
+                   for i in range(6)]
+        order = [threads[i] for i in (3, 0, 5, 1, 4, 2)]
+        for thread in order:
+            leaf.attach_thread(thread)
+        leaf.detach_thread(order[0])
+        leaf.attach_thread(order[0])
+        assert list(leaf.threads) == order[1:] + order[:1]
+
     def test_weight_validation_on_node(self):
         structure = SchedulingStructure()
         node = structure.mknod("/n", 1)
