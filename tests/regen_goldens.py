@@ -15,6 +15,11 @@ def main() -> None:
         payload = goldens.write_fixture(name, builder())
         print("%-12s %7d events  sha256=%s" % (
             name, payload["events"], payload["sha256"]))
+    for name in goldens.RECORDER_RUNS:
+        payload = goldens.write_recorder_fixture(
+            name, goldens.tracer_recorder(name))
+        print("%-12s %7d threads sha256=%s  (Recorder fixture)" % (
+            name, payload["threads"], payload["sha256"]))
     raw = goldens.write_binlog_fixture()
     print("%-12s %7d bytes  (binary trace fixture)"
           % ("obs_demo", len(raw)))

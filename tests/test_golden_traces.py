@@ -3,12 +3,14 @@
 These tests are the safety net for hot-path optimization work: the
 scheduler/engine fast paths must produce *byte-identical* observability
 event streams to the recorded fixtures in ``tests/fixtures/golden/``.
-Regenerate fixtures only for intentional behaviour changes — see
-``tests/regen_goldens.py``.
+The Recorder fixtures pin what a ``Recorder`` keeps for four of the
+scenarios.  Regenerate fixtures only for intentional behaviour changes —
+see ``tests/regen_goldens.py``.
 """
 
 import pytest
 
+from repro.trace.recorder import Recorder
 from tests import goldens
 
 
@@ -39,3 +41,25 @@ def test_fixture_metadata_is_consistent():
         assert fixture["events"] > 0
         assert len(fixture["sha256"]) == 64
         assert fixture["scenario"] == name
+
+
+@pytest.mark.parametrize("mode", sorted(goldens.RECORDER_MODES))
+@pytest.mark.parametrize("name", sorted(goldens.RECORDER_RUNS))
+def test_recorder_matches_committed_fixture(name, mode):
+    """Every ThreadTrace list and the interrupt records are pinned."""
+    fixture = goldens.load_recorder_fixture(name)
+    recorder = goldens.RECORDER_MODES[mode](name)
+    assert len(recorder.threads) == fixture["threads"]
+    assert len(recorder.interrupts) == fixture["interrupts"]
+    assert goldens.stream_digest(goldens.recorder_lines(recorder)) == \
+        fixture["sha256"], (
+            "%s Recorder of golden scenario %r diverged from the committed "
+            "fixture" % (mode, name))
+
+
+@pytest.mark.parametrize("name", sorted(goldens.RECORDER_RUNS))
+def test_stream_with_tracer_attached_matches_committed_fixture(name):
+    """Attaching a tracer leaves the process-bus stream untouched."""
+    run = goldens.RECORDER_RUNS[name]
+    lines = goldens._collect(lambda: run(Recorder()))
+    assert goldens.stream_digest(lines) == goldens.load_fixture(name)["sha256"]
