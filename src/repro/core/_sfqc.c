@@ -969,7 +969,7 @@ sfqc_sleep_chain(PyObject *Py_UNUSED(module), PyObject *chain)
  * the tick re-checks every dynamic condition at fire time and bails back
  * to the exact Python method that owns the uncommon path:
  *
- *   - bus tracing active or a tracer attached  -> Machine._on_burst_complete
+ *   - machine._bus.active (observed run)       -> Machine._on_burst_complete
  *   - schedsan wrapper / non-hierarchical top  -> per-call scheduler methods
  *   - non-SFQ leaf scheduler                   -> HierarchicalScheduler.*
  *   - costed dispatch model                    -> Machine._maybe_dispatch
@@ -980,7 +980,7 @@ sfqc_sleep_chain(PyObject *Py_UNUSED(module), PyObject *chain)
  * and SCHEDSAN's pick/charge pairing) is identical to the pure path.
  */
 
-static PyObject *str_active, *str_tracer, *str_engine, *str_now,
+static PyObject *str_active, *str_bus, *str_engine, *str_now,
     *str_current, *str_stats, *str_burst_planned, *str_burst_compute_start,
     *str_burst_handle, *str_quantum_work_left, *str_quantum_work_done,
     *str_paused, *str_intr_busy_until, *str_remaining_work, *str_state,
@@ -1007,7 +1007,7 @@ static int machine_ready = 0;
 static PyObject *TS_NEW, *TS_RUNNABLE, *TS_RUNNING, *TS_SLEEPING, *TS_EXITED;
 static PyTypeObject *HierType, *LeafNodeType, *SfqLeafType, *CostBaseType,
     *EventHandleType;
-static PyObject *SimulationErrorC, *BUS_obj;
+static PyObject *SimulationErrorC;
 static PyObject *OUT_RUN, *OUT_SLEEP, *OUT_WAIT, *OUT_EXIT;
 static PyObject *PRIO_COMPLETION, *PRIO_WAKEUP;
 
@@ -1059,9 +1059,6 @@ ensure_machine_state(void)
         return -1;
     SimulationErrorC = import_attr("repro.errors", "SimulationError");
     if (SimulationErrorC == NULL)
-        return -1;
-    BUS_obj = import_attr("repro.obs.events", "BUS");
-    if (BUS_obj == NULL)
         return -1;
     OUT_RUN = import_attr("repro.cpu.machine", "_OUTCOME_RUN");
     if (OUT_RUN == NULL)
@@ -1887,32 +1884,37 @@ fail_quantum:
     return -1;
 }
 
+/* machine._bus.active: the machine's one observation gate.  Its bus is
+ * the process bus, or a machine-private one that always has subscribers,
+ * so this also covers every process-bus emit site the Python path
+ * reaches.  Returns 1/0, or -1 with an exception set. */
+static int
+machine_observed(PyObject *machine)
+{
+    PyObject *bus = PyObject_GetAttr(machine, str_bus);
+    if (bus == NULL)
+        return -1;
+    PyObject *flag = PyObject_GetAttr(bus, str_active);
+    Py_DECREF(bus);
+    if (flag == NULL)
+        return -1;
+    int observed = PyObject_IsTrue(flag);
+    Py_DECREF(flag);
+    return observed;
+}
+
 static PyObject *
 machine_tick_impl(PyObject *machine)
 {
     if (ensure_machine_state() < 0)
         return NULL;
-    /* dynamic bail-outs: observation machinery owns the Python path */
-    {
-        PyObject *flag = PyObject_GetAttr(BUS_obj, str_active);
-        if (flag == NULL)
-            return NULL;
-        int bus_on = PyObject_IsTrue(flag);
-        Py_DECREF(flag);
-        if (bus_on < 0)
-            return NULL;
-        int traced = 0;
-        if (!bus_on) {
-            PyObject *tracer = PyObject_GetAttr(machine, str_tracer);
-            if (tracer == NULL)
-                return NULL;
-            traced = (tracer != Py_None);
-            Py_DECREF(tracer);
-        }
-        if (bus_on || traced)
-            return PyObject_CallMethodObjArgs(machine, str_on_burst_complete,
-                                              NULL);
-    }
+    /* dynamic bail-out: an observed run owns the Python path */
+    int observed = machine_observed(machine);
+    if (observed < 0)
+        return NULL;
+    if (observed)
+        return PyObject_CallMethodObjArgs(machine, str_on_burst_complete,
+                                          NULL);
     PyObject *engine = NULL, *now = NULL, *cur = NULL, *sched = NULL;
     PyObject *wake = NULL;
     int outcome = OC_RUN;
@@ -2301,27 +2303,13 @@ sfqc_machine_wake(PyObject *Py_UNUSED(module), PyObject *pair)
     PyObject *thread = PyTuple_GET_ITEM(pair, 1);
     if (ensure_machine_state() < 0)
         return NULL;
-    /* tracing turned on since the wakeup was scheduled: Python owns it */
-    {
-        PyObject *flag = PyObject_GetAttr(BUS_obj, str_active);
-        if (flag == NULL)
-            return NULL;
-        int bus_on = PyObject_IsTrue(flag);
-        Py_DECREF(flag);
-        if (bus_on < 0)
-            return NULL;
-        int traced = 0;
-        if (!bus_on) {
-            PyObject *tracer = PyObject_GetAttr(machine, str_tracer);
-            if (tracer == NULL)
-                return NULL;
-            traced = (tracer != Py_None);
-            Py_DECREF(tracer);
-        }
-        if (bus_on || traced)
-            return PyObject_CallMethodObjArgs(machine, str_on_wakeup,
-                                              thread, NULL);
-    }
+    /* observation turned on since the wakeup was scheduled: Python owns it */
+    int observed = machine_observed(machine);
+    if (observed < 0)
+        return NULL;
+    if (observed)
+        return PyObject_CallMethodObjArgs(machine, str_on_wakeup, thread,
+                                          NULL);
     if (PyObject_SetAttr(thread, str_wakeup_handle, Py_None) < 0)
         return NULL;
     {
@@ -2531,7 +2519,7 @@ static struct {
     {&str_queue, "queue"},
     {&str_parent, "parent"},
     {&str_active, "active"},
-    {&str_tracer, "tracer"},
+    {&str_bus, "_bus"},
     {&str_engine, "engine"},
     {&str_now, "now"},
     {&str_current, "current"},

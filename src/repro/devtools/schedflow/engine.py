@@ -67,8 +67,8 @@ RULES: Dict[str, Tuple[str, str]] = {
               "arena-column mutation in a pure hot function with no "
               "compiled-twin counterpart"),
     "SF503": ("turbo-bailout-gap",
-              "C turbo entry skips a BUS.active/tracer gate its Python "
-              "bailout target checks"),
+              "C turbo entry skips a BUS.active/_bus.active/tracer gate "
+              "its Python bailout target checks"),
     "SF504": ("capi-hygiene",
               "refcount leak on an error exit, unchecked NULL, or "
               "borrowed-ref escape into a stealing sink"),

@@ -14,8 +14,8 @@ is simplified where parallelism would not change the studied behaviour:
 Everything a thread does off the CPU — spawn, workload segments
 (including synchronization), sleep and wakeup, exit — is the uniprocessor
 machine's own code, inherited from :class:`~repro.cpu.machine.MachineBase`,
-so tracing hooks and statistics match and all metrics and analysis code
-work unchanged.  Slices from different CPUs may overlap in time, which is
+so events and statistics match and all metrics and analysis code work
+unchanged.  Slices from different CPUs may overlap in time, which is
 exactly what the SMP fairness analysis needs to see.
 """
 
@@ -37,11 +37,6 @@ from repro.sim.engine import Simulator
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND, work_from_time
-
-#: module-level alias of the process-wide bus: emit-site guards are on
-#: the per-dispatch hot path, and `_BUS.active` is one attribute lookup
-#: cheaper than `obs.BUS.active`.
-_BUS = obs.BUS
 
 
 class _Cpu:
@@ -111,11 +106,9 @@ class SmpMachine(MachineBase):
         now = self.engine.now
         thread.transition(ThreadState.RUNNABLE)
         thread.last_runnable_at = now
-        if self.tracer is not None:
-            self.tracer.on_runnable(thread, now)
-        if _BUS.active:
-            _BUS.emit(obs.RUNNABLE, now, tid=thread.tid,
-                         node=_leaf_path(thread))
+        if self._bus.active:
+            self._bus.emit(obs.RUNNABLE, now, tid=thread.tid,
+                           node=_leaf_path(thread))
         self.scheduler.thread_runnable(thread, now)
         self._dispatch_idle_cpus()
 
@@ -153,14 +146,12 @@ class SmpMachine(MachineBase):
         if cpu.quantum_left <= 0:
             raise SimulationError("quantum too small for capacity")
         cpu.quantum_done = 0
-        if self.tracer is not None:
-            self.tracer.on_dispatch(thread, now)
-        if _BUS.active:
-            _BUS.emit(obs.DISPATCH, now, tid=thread.tid,
-                         name=thread.name, node=_leaf_path(thread),
-                         cpu=cpu.index, depth=self.scheduler.decision_depth,
-                         switched=True, overhead_ns=0,
-                         quantum_work=cpu.quantum_left)
+        if self._bus.active:
+            self._bus.emit(obs.DISPATCH, now, tid=thread.tid,
+                           name=thread.name, node=_leaf_path(thread),
+                           cpu=cpu.index, depth=self.scheduler.decision_depth,
+                           switched=True, overhead_ns=0,
+                           quantum_work=cpu.quantum_left)
         self._begin_burst(cpu)
 
     def _begin_burst(self, cpu: _Cpu) -> None:
@@ -191,12 +182,10 @@ class SmpMachine(MachineBase):
         thread.stats.work_done += executed
         thread.stats.cpu_time += elapsed
         self.busy_time += elapsed
-        if self.tracer is not None:
-            self.tracer.on_slice(thread, cpu.burst_start, now, executed)
-        if _BUS.active:
-            _BUS.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
-                         node=_leaf_path(thread), cpu=cpu.index,
-                         start=cpu.burst_start, work=executed)
+        if self._bus.active:
+            self._bus.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
+                           node=_leaf_path(thread), cpu=cpu.index,
+                           start=cpu.burst_start, work=executed)
 
     def _on_burst_complete(self, cpu: _Cpu) -> None:
         cpu.burst_handle = None
@@ -223,13 +212,12 @@ class SmpMachine(MachineBase):
         now = self.engine.now
         cpu.current = None
 
-        if thread.remaining_work > 0:
-            outcome, wake_time = _OUTCOME_RUN, None
-        else:
+        segment_done = thread.remaining_work == 0
+        if segment_done:
             thread.stats.segments_completed += 1
-            if self.tracer is not None:
-                self.tracer.on_segment_complete(thread, now)
             outcome, wake_time = self._advance_workload(thread)
+        else:
+            outcome, wake_time = _OUTCOME_RUN, None
 
         if outcome == _OUTCOME_RUN:
             thread.transition(ThreadState.RUNNABLE)
@@ -242,11 +230,10 @@ class SmpMachine(MachineBase):
 
         if cpu.quantum_done > 0:
             self.scheduler.charge(thread, cpu.quantum_done, now)
-            if self.tracer is not None:
-                self.tracer.on_charge(thread, now, cpu.quantum_done)
-            if _BUS.active:
-                _BUS.emit(obs.CHARGE, now, tid=thread.tid,
-                             node=_leaf_path(thread), work=cpu.quantum_done)
+            if self._bus.active:
+                self._bus.emit(obs.CHARGE, now, tid=thread.tid,
+                               node=_leaf_path(thread), work=cpu.quantum_done,
+                               segment_done=segment_done)
         cpu.quantum_done = 0
         cpu.quantum_left = 0
 

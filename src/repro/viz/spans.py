@@ -6,17 +6,16 @@ Both Gantt charts answer "who held the CPU when" — per thread
 into one normalized :class:`SpanSet` so the renderers never care where
 the data came from:
 
-* a :class:`~repro.trace.recorder.Recorder` — live machine tracer with
-  per-thread slice lists;
+* a :class:`~repro.trace.recorder.Recorder` — per-thread slice lists,
+  each slice with the leaf it ran under;
 * any iterable of :class:`~repro.obs.events.Event` — a
   :class:`~repro.obs.binlog.BinaryTraceReader`, a replayed list, or a
   live collector's buffer.
 
-Event streams are richer than recorders: they carry the leaf pathname on
-every slice plus preempt/interrupt instants, so depth charts prefer
-them.  Recorder extraction labels each span with the thread's *current*
-leaf path ("/" for flat schedulers) — exact for the static scheduling
-structures every experiment in this repo builds.
+Both label each span with the leaf pathname its ``slice`` event carried
+("/" for flat schedulers), so a thread moved by ``hsfq_move`` shows under
+each leaf in turn.  Event streams also carry preempt instants, which a
+recorder does not keep.
 """
 
 from __future__ import annotations
@@ -111,11 +110,8 @@ def _from_recorder(recorder: Recorder,
         traces = [recorder.trace_of(thread) for thread in threads]
     spans: List[Span] = []
     for trace in traces:
-        thread = trace.thread
-        leaf = thread.leaf
-        node = leaf.path if leaf is not None else "/"
-        for t0, t1, __ in trace.slices:
-            spans.append(Span(t0, t1, thread.tid, thread.name, node))
+        for (t0, t1, __), node in zip(trace.slices, trace.slice_nodes):
+            spans.append(Span(t0, t1, trace.tid, trace.name, node))
     spans.sort(key=lambda span: (span.t0, span.t1, span.tid))
     interrupts = [(t, t + service) for t, service in recorder.interrupts]
     return SpanSet(spans, interrupts, [])

@@ -4,21 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.recorder import ThreadTrace
+from repro.obs import events as ev
+from repro.trace.recorder import Recorder
 from repro.units import MS, SECOND
 from repro.workloads.mpeg import MpegVbrModel
 from repro.workloads.periodic import PeriodicWorkload
 
 
 def build_trace(gaps_and_lengths):
-    """Construct a ThreadTrace from (gap, length, work) slice specs."""
-    trace = ThreadTrace(None)
+    """Feed a Recorder one thread's slice events from (gap, length, work)
+    specs; returns that thread's trace and the last slice end."""
+    recorder = Recorder()
     t = 0
     for gap, length, work in gaps_and_lengths:
         t += gap
-        trace.add_slice(t, t + length, work)
+        recorder(ev.Event(ev.SLICE, t + length,
+                          {"tid": 1, "node": "/", "start": t, "work": work}))
         t += length
-    return trace, t
+    return recorder.threads[1], t
 
 
 slice_specs = st.lists(

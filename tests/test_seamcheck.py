@@ -145,14 +145,25 @@ class TestSeededSkews:
         assert any(f.path.endswith("sfq.py") and "run" in f.message
                    for f in hits), [str(f) for f in hits]
 
-    def test_sf503_catches_dropped_tracer_gate(self):
+    def test_sf503_catches_dropped_bus_gate(self):
+        """machine_tick without its ``_bus.active`` re-check would run
+        the turbo path on observed runs."""
         text = _seed(
-            "PyObject *tracer = PyObject_GetAttr(machine, str_tracer);",
-            "PyObject *tracer = PyObject_GetAttr(machine, str_queue);")
+            "    int observed = machine_observed(machine);\n"
+            "    if (observed < 0)\n"
+            "        return NULL;\n"
+            "    if (observed)\n"
+            "        return PyObject_CallMethodObjArgs(machine, "
+            "str_on_burst_complete,\n",
+            "    if (0)\n"
+            "        return PyObject_CallMethodObjArgs(machine, "
+            "str_on_burst_complete,\n")
         findings = _analyze_seeded(text)
         hits = [f for f in findings if f.code == "SF503"]
-        assert any("tracer" in f.message for f in hits), \
-            [str(f) for f in findings]
+        assert any("machine_tick" in f.message and "_bus.active" in f.message
+                   for f in hits), [str(f) for f in findings]
+        assert not any("machine_wake" in f.message for f in hits), \
+            [str(f) for f in hits]
 
     def test_sf504_catches_dropped_decref_on_error_path(self):
         text = _seed(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import events as ev
 from repro.threads.segments import Compute, SleepFor
 from repro.trace.metrics import (
     common_runnable_intervals,
@@ -11,19 +12,30 @@ from repro.trace.metrics import (
     response_times,
     throughput_series,
 )
-from repro.trace.recorder import Recorder, ThreadTrace
+from repro.trace.recorder import Recorder
 from repro.trace.timeline import execution_order, merge_timeline
 from repro.units import MS, SECOND
 
 KILO = 1000
 
 
+def trace_from(*events):
+    """The trace a Recorder builds from ``(kind, time, fields)`` events of
+    one thread (tid 1)."""
+    recorder = Recorder()
+    for kind, time, fields in events:
+        recorder(ev.Event(kind, time, dict(fields, tid=1)))
+    return recorder.threads[1]
+
+
+def slice_event(t0, t1, work):
+    return (ev.SLICE, t1, {"node": "/", "start": t0, "work": work})
+
+
 class TestServiceCurve:
     def make_trace(self):
-        trace = ThreadTrace(None)
-        trace.add_slice(0, 10 * MS, 10 * KILO)
-        trace.add_slice(20 * MS, 30 * MS, 10 * KILO)
-        return trace
+        return trace_from(slice_event(0, 10 * MS, 10 * KILO),
+                          slice_event(20 * MS, 30 * MS, 10 * KILO))
 
     def test_total_work(self):
         assert self.make_trace().total_work == 20 * KILO
@@ -55,27 +67,22 @@ class TestServiceCurve:
 
 class TestRunnableIntervals:
     def test_open_interval_closed_at_horizon(self):
-        trace = ThreadTrace(None)
-        trace.runnables = [10]
+        trace = trace_from((ev.RUNNABLE, 10, {}))
         assert trace.runnable_intervals(100) == [(10, 100)]
 
     def test_paired_with_blocks(self):
-        trace = ThreadTrace(None)
-        trace.runnables = [10, 50]
-        trace.blocks = [30]
+        trace = trace_from((ev.RUNNABLE, 10, {}), (ev.BLOCK, 30, {}),
+                           (ev.RUNNABLE, 50, {}))
         assert trace.runnable_intervals(100) == [(10, 30), (50, 100)]
 
     def test_exit_ends_interval(self):
-        trace = ThreadTrace(None)
-        trace.runnables = [10]
-        trace.exited_at = 40
+        trace = trace_from((ev.RUNNABLE, 10, {}), (ev.EXIT, 40, {}))
         assert trace.runnable_intervals(100) == [(10, 40)]
 
     def test_common_intervals(self):
-        a = ThreadTrace(None)
-        b = ThreadTrace(None)
-        a.runnables, a.blocks = [0, 60], [30]
-        b.runnables, b.blocks = [10], [80]
+        a = trace_from((ev.RUNNABLE, 0, {}), (ev.BLOCK, 30, {}),
+                       (ev.RUNNABLE, 60, {}))
+        b = trace_from((ev.RUNNABLE, 10, {}), (ev.BLOCK, 80, {}))
         assert common_runnable_intervals(a, b, 100) == [(10, 30), (60, 80)]
 
 
@@ -158,7 +165,7 @@ class TestTimeline:
 
     def test_recorder_interrupt_totals(self):
         recorder = Recorder()
-        recorder.on_interrupt(0, 5)
-        recorder.on_interrupt(10, 7)
+        recorder(ev.Event(ev.INTERRUPT, 0, {"cpu": 0, "service": 5}))
+        recorder(ev.Event(ev.INTERRUPT, 10, {"cpu": 0, "service": 7}))
         assert recorder.total_interrupt_time() == 12
         assert recorder.interrupts == [(0, 5), (10, 7)]

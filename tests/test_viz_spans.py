@@ -8,12 +8,14 @@ from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
 from repro.cpu.interrupts import PoissonInterruptSource
 from repro.cpu.machine import Machine
+from repro.hsfq import hsfq_move
 from repro.obs import events as ev
 from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter
 from repro.obs.events import Event
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
+from repro.threads.segments import Compute, SleepFor
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND
 from repro.viz.depth_gantt import depth_gantt
@@ -84,6 +86,24 @@ class TestExtractFromRecorder:
         from_binlog = extract_spans(
             BinaryTraceReader(io.BytesIO(buffer.getvalue())))
         assert from_recorder.spans == from_binlog.spans
+
+    def test_moved_thread_spans_match_event_spans(self, harness):
+        """Each span keeps the leaf its slice ran under, not the leaf the
+        thread sits in when the spans are extracted."""
+        other = harness.structure.mknod("/other", 1,
+                                        scheduler=SfqScheduler())
+        events = []
+        with ev.BUS.subscription(events.append):
+            thread = harness.spawn_segments(
+                "mover", [Compute(10_000), SleepFor(20 * MS),
+                          Compute(10_000), SleepFor(SECOND)])
+            harness.machine.run_until(20 * MS)
+            hsfq_move(harness.structure, thread, other.node_id)
+            harness.machine.run_until(100 * MS)
+        from_recorder = extract_spans(harness.recorder)
+        assert [span.node for span in from_recorder.spans] == \
+            ["/apps", "/other"]
+        assert from_recorder.spans == extract_spans(events).spans
 
     def test_thread_order_override(self, harness):
         a = harness.spawn_dhrystone("a")
