@@ -7,7 +7,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.node import LeafNode
 from repro.core.structure import SchedulingStructure
-from repro.core.tags import TagMath
 from repro.cpu.costs import SchedulingCostModel
 from repro.cpu.flat import FlatScheduler
 from repro.cpu.machine import Machine
@@ -98,8 +97,7 @@ class FlatSetup:
 
 
 def figure6_structure(sfq1_weight: int = 2, sfq2_weight: int = 6,
-                      svr4_weight: int = 1, interposed_depth: int = 0,
-                      tag_math: Optional[TagMath] = None
+                      svr4_weight: int = 1, interposed_depth: int = 0
                       ) -> Tuple[SchedulingStructure, LeafNode, LeafNode, LeafNode]:
     """The paper's Figure 6 scheduling structure.
 
@@ -108,7 +106,7 @@ def figure6_structure(sfq1_weight: int = 2, sfq2_weight: int = 6,
     between the root and SFQ-1 (the Figure 7(b) depth experiment).
     Returns ``(structure, sfq1, sfq2, svr4)``.
     """
-    structure = SchedulingStructure(tag_math)
+    structure = SchedulingStructure()
     parent = structure.root
     for level in range(interposed_depth):
         parent = structure.mknod("level%d" % level, sfq1_weight

@@ -1,7 +1,7 @@
 """Tracing and measurement.
 
-* :mod:`repro.trace.recorder` — a machine tracer recording execution
-  slices, lifecycle events, and interrupts;
+* :mod:`repro.trace.recorder` — an event-bus subscriber recording
+  execution slices, lifecycle events, and interrupts;
 * :mod:`repro.trace.metrics` — service curves, windowed throughput,
   response times, and real-time latency/slack series;
 * :mod:`repro.trace.timeline` — execution order reconstruction (Gantt-like)
