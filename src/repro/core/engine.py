@@ -28,7 +28,7 @@ the pure one.  Unset (or ``pure``) never touches the compiler.
 
 Byte-identity between the engines is a hard contract, pinned three ways:
 the golden-trace fixtures run under both engines in CI, the
-``enginediff`` devtool replays Figure-5 and a depth-8 workload under
+``enginediff`` devtool replays Figure-5, depth-8 and Figure-8 workloads under
 both and diffs traces and schedstat, and the property suite
 cross-checks queue observables after random operation sequences.
 """

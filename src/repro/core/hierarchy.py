@@ -74,7 +74,7 @@ class HierarchicalScheduler(TopScheduler):
         self._decision_depth = 1
         #: clock callable; the machine installs its engine's clock here
         self.clock: Callable[[], int] = lambda: 0
-        # Per-leaf charge chains (see repro.core.sfq.build_charge_chain),
+        # Per-leaf charge chains (see repro.core.sfq.build_ancestor_chain),
         # keyed by leaf id.  The tree shape only changes through
         # mknod/rmnod, which bump structure.tree_version; charge() rebuilds
         # lazily when the versions diverge.

@@ -15,7 +15,14 @@ the three rules of the paper's Section 3:
 
 Virtual time ``v`` follows the paper exactly: while the queue is busy it is
 the start tag of the entity in service; when the queue goes idle it jumps to
-the maximum finish tag ever assigned.
+the maximum finish tag ever assigned.  No runnable start tag is ever below
+``v`` (stamping takes ``max(v, F)``, a charge only raises a start tag, and
+``v`` moves only to the minimum runnable start or, when idle, to the
+maximum finish), so a pick simply sets ``v`` to the picked start tag.
+
+Tags come from the queue's :class:`~repro.core.tags.TagMath`: canonical
+rationals in exact mode (an ``int`` when integral, else a ``Fraction``),
+floats in float mode.
 
 The queue never needs quantum lengths in advance — lengths are supplied at
 :meth:`charge` time, which is the property that makes SFQ usable for CPU
@@ -27,13 +34,18 @@ Per-entity state lives in the flat parallel columns of a
 :class:`~repro.core.arena.SfqArena`, indexed by a dense slot id; the queue
 object is a façade that maps ``id(entity)`` to a slot at the API edge and
 then works purely on lists.  The dispatch heap holds ``(start, seq,
-version, slot)`` tuples; mutable queue scalars (virtual time, max finish
-tag, in-service slot, runnable count) sit in the four-element ``_state``
-list so the compiled engine (``repro.core.engine``) can read and write
-them without attribute protocol.  Queues with a single registered entity
-run in *solo* mode: ordering is trivial, so the heap stays empty and
-stamping skips heap pushes entirely — observable behaviour (picks, tags,
-virtual time) is identical, which the golden-trace suite pins.
+version, slot)`` tuples and deletes lazily: bumping a slot's version
+invalidates its entry, which a pick pops once it reaches the top.  A
+charge that finds the in-service entry still at the top re-keys it in
+place (one ``heapreplace``) instead of pushing a second entry; the valid
+entries and their keys are the same either way.  Mutable queue scalars
+(virtual time, max finish tag, in-service slot, runnable count) sit in
+the four-element ``_state`` list so the compiled engine
+(``repro.core.engine``) can read and write them without attribute
+protocol.  Queues with a single registered entity run in *solo* mode:
+ordering is trivial, so the heap stays empty and stamping skips heap
+pushes entirely — observable behaviour (picks, tags, virtual time) is
+identical, which the golden-trace suite pins.
 
 Engine seam
 -----------
@@ -47,7 +59,7 @@ reference the compiled engine is gated against.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.arena import SfqArena
@@ -259,9 +271,7 @@ class SfqQueue:
             if not arena.run[solo]:
                 return None
             state[_SRV] = solo
-            start = arena.start[solo]
-            if start > state[_VT]:
-                state[_VT] = start
+            state[_VT] = arena.start[solo]
             return arena.ent[solo]
         heap = self._heap
         run = arena.run
@@ -277,9 +287,9 @@ class SfqQueue:
         if slot < 0:
             return None
         state[_SRV] = slot
-        start = head[0]  # valid entries carry the entity's current start tag
-        if start > state[_VT]:
-            state[_VT] = start
+        # valid entries carry the entity's current start tag, and no
+        # runnable start tag is below v, so v simply becomes the head's
+        state[_VT] = head[0]
         return arena.ent[slot]
 
     def charge(self, entity: Any, length: int, weight: Optional[int] = None) -> None:
@@ -317,7 +327,17 @@ class SfqQueue:
             version = arena.ver[slot] + 1
             arena.ver[slot] = version
             if self._solo < 0:
-                heappush(self._heap, (finish, arena.seq[slot], version, slot))
+                heap = self._heap
+                entry = (finish, arena.seq[slot], version, slot)
+                # A runnable entity always has its current entry in the
+                # heap, so the heap is not empty.  Right after a pick that
+                # entry usually still heads the heap: re-key it in place
+                # rather than leave it behind for the next pick to pop.
+                head = heap[0]
+                if head[3] == slot and head[2] == version - 1:
+                    heapreplace(heap, entry)
+                else:
+                    heappush(heap, entry)
 
     # --- internals -----------------------------------------------------
 
@@ -426,7 +446,12 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
             version = ver_col[slot] + 1
             ver_col[slot] = version
             if solo < 0:
-                heappush(heap, (finish, seq_col[slot], version, slot))
+                entry = (finish, seq_col[slot], version, slot)
+                head = heap[0]  # re-key in place, as in SfqQueue.charge
+                if head[3] == slot and head[2] == version - 1:
+                    heapreplace(heap, entry)
+                else:
+                    heappush(heap, entry)
 
 
 def wake_chain(chain: List[ChainEntry]) -> None:
@@ -479,9 +504,7 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
             if not run_col[solo]:
                 return None, depth
             state[_SRV] = solo
-            start = start_col[solo]
-            if start > state[_VT]:
-                state[_VT] = start
+            state[_VT] = start_col[solo]
             node = ent_col[solo]
             depth += 1
             continue
@@ -498,9 +521,7 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
         if slot < 0:
             return None, depth
         state[_SRV] = slot
-        start = head[0]
-        if start > state[_VT]:
-            state[_VT] = start
+        state[_VT] = head[0]
         node = ent_col[slot]
         depth += 1
     return node, depth

@@ -2,7 +2,7 @@
 
 The compiled engine (``REPRO_ENGINE=compiled``) is only allowed to be
 *faster* than the pure-python reference — never different.  This tool
-replays two canonical workloads under both engines in separate
+replays three canonical workloads under both engines in separate
 subprocesses and byte-compares two probes per workload:
 
 ``trace``
@@ -26,6 +26,13 @@ Workloads:
     the shape that maximizes per-event chain walks, and the one the
     perfkit ``deep_hierarchy`` scenario benchmarks.
 
+``figure8``
+    The paper's Figure-8 SFQ1:SFQ2:SVR4 = 2:6:1 tree with exact tags and
+    Poisson interrupts — the one cell that runs the compiled engine,
+    turbo tick included, over mixed ``int``/``Fraction`` tags on a
+    hierarchy (charges that ``6`` does not divide leave SFQ-2's tags
+    non-integral).
+
 Exit status is non-zero on any divergence, and the differing streams are
 written to the output directory (default ``build/enginediff``) so CI can
 upload them as a diff artifact.
@@ -45,13 +52,16 @@ from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
 from repro.core.tags import FLOAT
 from repro.cpu.flat import FlatScheduler
+from repro.cpu.interrupts import PoissonInterruptSource
 from repro.cpu.machine import Machine
+from repro.experiments.common import figure6_structure
 from repro.obs import events as obs
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.threads.thread import SimThread
-from repro.units import MS, SECOND
+from repro.units import MS, SECOND, US
+from repro.workloads.bursty import BurstyWorkload
 from repro.workloads.dhrystone import DhrystoneWorkload
 from repro.workloads.interactive import InteractiveWorkload
 
@@ -120,9 +130,37 @@ def _depth8() -> ScenarioRun:
     return machine, threads, 2 * SECOND
 
 
+def _figure8() -> ScenarioRun:
+    structure, sfq1, sfq2, svr4 = figure6_structure(
+        sfq1_weight=2, sfq2_weight=6, svr4_weight=1)
+    engine = Simulator()
+    machine = Machine(engine, HierarchicalScheduler(structure),
+                      capacity_ips=100_000_000, default_quantum=20 * MS)
+    machine.add_interrupt_source(PoissonInterruptSource(
+        mean_interarrival=10 * MS, mean_service=100 * US,
+        rng=make_rng(23, "figure8/intr")))
+    threads = []
+    for leaf, prefix in ((sfq1, "sfq1"), (sfq2, "sfq2")):
+        for index in range(2):
+            thread = SimThread("%s-%d" % (prefix, index),
+                               DhrystoneWorkload(300, 10_000))
+            leaf.attach_thread(thread)
+            threads.append(thread)
+    for index in range(2):
+        thread = SimThread("bg-%d" % index, BurstyWorkload(
+            mean_busy_work=20_000_000, mean_idle_time=400 * MS,
+            rng=make_rng(23, "figure8/bg/%d" % index)))
+        svr4.attach_thread(thread)
+        threads.append(thread)
+    for thread in threads:
+        machine.spawn(thread)
+    return machine, threads, 2 * SECOND
+
+
 SCENARIOS: Dict[str, Callable[[], ScenarioRun]] = {
     "figure5": _figure5,
     "depth8": _depth8,
+    "figure8": _figure8,
 }
 
 

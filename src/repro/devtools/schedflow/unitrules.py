@@ -19,8 +19,9 @@ Rules:
 * **SF201** — ``+``/``-``/``%`` or an ordering comparison between two
   *concretely known, different* units (seconds + instructions).
 * **SF202** — ``==``/``!=`` between a virtual-time tag and a float
-  literal: exact-mode tags are ``Fraction``s and the float path is
-  approximate, so raw float equality is never meaningful.
+  literal: exact-mode tags are rationals (``int`` or ``Fraction``) and
+  the float path is approximate, so raw float equality is never
+  meaningful.
 * **SF203** — argument with a concretely known unit passed to a
   signature slot declared with a different unit.
 * **SF204** — direct ``.weight = ...`` store outside ``core/node.py``
@@ -250,7 +251,7 @@ class _UnitWalker:
                         self._report(node, "SF202",
                                      "==/!= between a virtual-time tag and a "
                                      "float literal; exact-mode tags are "
-                                     "Fractions — compare tags to tags")
+                                     "rationals — compare tags to tags")
                         break
             if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE,
                                ast.Eq, ast.NotEq)):

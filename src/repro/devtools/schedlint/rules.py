@@ -292,7 +292,7 @@ _TAG_EXEMPT = ("repro/core/tags.py", "repro/schedulers/fairqueue.py")
 
 @register
 class FloatTagRule(Rule):
-    """SL004: tag arithmetic stays integral (or ``Fraction``), never float.
+    """SL004: tag arithmetic stays integral (or exact rational), never float.
 
     The fairness theorems are proved for exact arithmetic; a stray float
     literal or ``/`` true division silently converts a whole tag chain to

@@ -1,8 +1,9 @@
-"""EXP-AB4 — ablation: exact Fraction tags versus float tags.
+"""EXP-AB4 — ablation: exact tags versus float tags.
 
 SFQ tags are sums of ``length/weight`` terms.  This repository defaults to
-exact ``fractions.Fraction`` arithmetic (the fairness theorem then holds
-with zero epsilon in tests); a kernel would use fixed/floating point.  This
+exact rational arithmetic (an ``int`` when integral, else a
+``fractions.Fraction``; the fairness theorem then holds with zero epsilon
+in tests); a kernel would use fixed/floating point.  This
 ablation runs the same three-thread scenario under both modes and reports
 
 * whether the two runs dispatch identically (they should, until float

@@ -3,7 +3,7 @@
 Simulated **time** is an integer number of nanoseconds and **work** is an
 integer number of instructions.  Keeping both integral makes the simulation
 deterministic (no floating-point drift in the event queue) and makes SFQ tag
-arithmetic exact when the ``Fraction`` tag mode is used.
+arithmetic exact when the exact tag mode is used.
 
 The only floating-point values in the core simulator are derived *metrics*
 (throughput, ratios), never state.

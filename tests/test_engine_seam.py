@@ -104,7 +104,7 @@ class TestEnginediffProbes:
             enginediff.emit("figure5", "heisenstat")
 
     def test_scenario_registry(self):
-        assert set(enginediff.SCENARIOS) == {"figure5", "depth8"}
+        assert set(enginediff.SCENARIOS) == {"figure5", "depth8", "figure8"}
         assert enginediff.PROBES == ("trace", "schedstat")
 
     def test_trace_probe_collects_events(self):

@@ -34,6 +34,18 @@ class TestTagMath:
         assert math.ratio(10, 3) == Fraction(10, 3)
         assert math.advance(Fraction(1), 10, 3) == Fraction(13, 3)
 
+    def test_exact_tags_are_canonical(self):
+        zero = EXACT.zero()
+        assert type(zero) is int and zero == 0
+        # the value decides the type, never the history
+        one = EXACT.advance(Fraction(1, 3), 2, 3)
+        assert type(one) is int and one == 1
+        assert EXACT.advance(0, 10, 3) == Fraction(10, 3)
+        assert type(EXACT.advance(4, 10, 5)) is int
+        assert type(EXACT.ratio(10, 5)) is int
+        with pytest.raises(ValueError):
+            EXACT.advance(0, 10, 0)
+
     def test_float_mode(self):
         math = TagMath(exact=False)
         assert math.zero() == 0.0
