@@ -276,13 +276,14 @@ class BinaryTraceWriter:
     - **streaming** (default): events are encoded as they arrive and the
       buffer is flushed to disk incrementally — memory stays bounded no
       matter how many events the run emits.
-    - **deferred** (``defer=True``): capture only appends the raw
-      ``(kind, time, data)`` triple to a list; encoding and I/O happen at
-      :meth:`close`.  This is the ``perf record`` model — the smallest
-      possible in-run perturbation (~4x cheaper per event than inline
-      encoding) at the cost of holding every captured event in memory
-      (roughly 300 bytes each) until the log is sealed.  Prefer it for
-      overhead-sensitive measurement runs of bounded length.
+    - **deferred** (``defer=True``): capture only appends the raw kind,
+      time and data of each event to one flat list; encoding and I/O
+      happen at :meth:`close`.  This is the ``perf record`` model — the
+      smallest possible in-run perturbation (~2x cheaper per event than
+      inline encoding) at the cost of holding every captured event in
+      memory (roughly 240 bytes each, none of it GC-tracked) until the
+      log is sealed.  Prefer it for overhead-sensitive measurement runs
+      of bounded length.
     """
 
     def __init__(self, path_or_file: Any, defer: bool = False) -> None:
@@ -302,13 +303,16 @@ class BinaryTraceWriter:
         #: stay the same for the writer's lifetime (it is only ever
         #: mutated in place).
         self._hot: Dict[str, Callable[[int, Dict[str, Any]], None]] = {}
-        #: ``defer=True`` is the perf-record model: capture appends the
-        #: raw ``(kind, time, data)`` triple here and all encoding happens
-        #: at :meth:`close`, trading bounded memory for the smallest
-        #: possible in-run perturbation.  The sealed file is byte-for-byte
+        #: ``defer=True`` is the perf-record model: capture appends each
+        #: event's kind, time and data as three consecutive entries here
+        #: and all encoding happens at :meth:`close`, trading bounded
+        #: memory for the smallest possible in-run perturbation.  Flat, so
+        #: capture keeps no GC-tracked object per event: the data dicts
+        #: hold only atomic values, which CPython leaves untracked, but a
+        #: tuple holding a dict stays tracked and the cyclic collector
+        #: would rescan every one.  The sealed file is byte-for-byte
         #: identical to streaming mode.  None in streaming mode.
-        self._pending: Optional[List[Tuple[str, int, Dict[str, Any]]]] = (
-            [] if defer else None)
+        self._pending: Optional[List[Any]] = [] if defer else None
         #: bus raw-consumer protocol: the live per-kind encoder table.
         #: Withheld in deferred mode so the bus routes every event through
         #: :meth:`emit_raw` (the table would encode inline).
@@ -348,11 +352,11 @@ class BinaryTraceWriter:
         In streaming mode the bus uses :attr:`raw_encoders` to skip even
         this frame on schema hits; this entry point covers kinds the
         table lacks and non-bus callers.  In deferred mode it is the
-        whole hot path: one tuple build and a list append.
+        whole hot path: three entries appended to a flat list.
         """
         pending = self._pending
         if pending is not None:
-            pending.append((kind, time, data))
+            pending += kind, time, data
             return
         encoder = self._hot.get(kind)
         if encoder is not None:
@@ -364,7 +368,7 @@ class BinaryTraceWriter:
         """Bus subscriber entry point: append one encoded event."""
         pending = self._pending
         if pending is not None:
-            pending.append((event.kind, event.time, event.data))
+            pending += event.kind, event.time, event.data
             return
         encoder = self._hot.get(event.kind)
         if encoder is not None:
@@ -475,32 +479,49 @@ class BinaryTraceWriter:
 
     def close(self) -> None:
         """Seal the log: encode any deferred events, flush, write the
-        footer, and release the file."""
+        footer, and release the file.
+
+        A deferred event that cannot be encoded is left out, just as
+        streaming mode rejects it at capture: every other event is still
+        sealed and an owned file released, then the first such
+        :class:`TypeError` is raised.  Calls after the first do nothing.
+        """
         if self._sealed:
             return
-        pending = self._pending
-        if pending is not None:
-            # Deferred capture: run the whole encoding pipeline now, in
-            # capture order, through the same schema machinery streaming
-            # mode uses — the sealed bytes come out identical.
-            self._pending = None
-            hot_get = self._hot.get
-            slow_path = self._slow_path
-            for kind, time, data in pending:
-                encoder = hot_get(kind)
-                if encoder is not None:
-                    encoder(time, data)
-                else:
-                    slow_path(kind, time, data)
         self._sealed = True
-        self._flush()
-        footer = bytearray((_REC_FOOTER,))
-        footer += _FOOTER_STRUCT.pack(self.event_count)
-        footer += self._hash.digest()
-        self._file.write(bytes(footer))
-        self._file.flush()
-        if self._owns_file:
-            self._file.close()
+        error: Optional[TypeError] = None
+        try:
+            pending = self._pending
+            if pending is not None:
+                # Deferred capture: run the whole encoding pipeline now,
+                # in capture order, through the same schema machinery
+                # streaming mode uses — the sealed bytes come out
+                # identical.
+                self._pending = None
+                hot_get = self._hot.get
+                slow_path = self._slow_path
+                entries = iter(pending)
+                for kind, time, data in zip(entries, entries, entries):
+                    try:
+                        encoder = hot_get(kind)
+                        if encoder is not None:
+                            encoder(time, data)
+                        else:
+                            slow_path(kind, time, data)
+                    except TypeError as exc:
+                        if error is None:
+                            error = exc
+            self._flush()
+            footer = bytearray((_REC_FOOTER,))
+            footer += _FOOTER_STRUCT.pack(self.event_count)
+            footer += self._hash.digest()
+            self._file.write(bytes(footer))
+            self._file.flush()
+        finally:
+            if self._owns_file:
+                self._file.close()
+        if error is not None:
+            raise error
 
     def __enter__(self) -> "BinaryTraceWriter":
         return self

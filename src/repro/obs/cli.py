@@ -163,10 +163,9 @@ def cmd_record(args: argparse.Namespace) -> int:
     from repro.units import MS
 
     machine, __, ___ = build_demo(args.duration_ms)
-    writer = BinaryTraceWriter(args.out, defer=args.defer)
-    with ev.BUS.subscription(writer):
+    with BinaryTraceWriter(args.out, defer=args.defer) as writer, \
+            ev.BUS.subscription(writer):
         machine.run_until(args.duration_ms * MS)
-    writer.close()
     print("wrote %s: %d events, %d bytes (%s mode)"
           % (args.out, writer.event_count, os.path.getsize(args.out),
              "deferred" if args.defer else "streaming"))

@@ -242,7 +242,7 @@ SCENARIOS.update(
     for name, run in RECORDER_RUNS.items())
 
 
-def demo_binlog_bytes(duration_ms: int = 500) -> bytes:
+def demo_binlog_bytes(duration_ms: int = 500, defer: bool = False) -> bytes:
     """The obs-demo workload captured as a sealed binlog.
 
     Byte-stable for the same reason the text streams are: global
@@ -250,14 +250,15 @@ def demo_binlog_bytes(duration_ms: int = 500) -> bytes:
     has no timestamps or host state.  The committed copy
     (``obs_demo.binlog``) is the codec's golden fixture — writer-side
     encoding changes that alter the bytes must be intentional format
-    changes, never silent drift.
+    changes, never silent drift.  ``defer`` selects the writer's capture
+    mode; both must produce the committed bytes.
     """
     from repro.obs.cli import build_demo
 
     _reset_global_counters()
     machine, __, ___ = build_demo(duration_ms)
     buffer = io.BytesIO()
-    writer = BinaryTraceWriter(buffer)
+    writer = BinaryTraceWriter(buffer, defer=defer)
     with obs.BUS.subscription(writer):
         machine.run_until(duration_ms * MS)
     writer.close()

@@ -1,5 +1,6 @@
 """The binary trace codec: writer, reader, and bus integration."""
 
+import gc
 import io
 
 import pytest
@@ -166,6 +167,31 @@ class TestWriterModes:
         out = list(read_events(io.BytesIO(buffer.getvalue())))
         assert [event.time for event in out] == [10, 50]
 
+    def test_deferred_seal_of_unencodable_value_keeps_the_rest(
+            self, tmp_path):
+        events = [MIXED_EVENTS[0], Event("bad", 60, {"payload": [1, 2, 3]}),
+                  MIXED_EVENTS[-1]]
+        path = tmp_path / "run.binlog"
+        writer = BinaryTraceWriter(str(path), defer=True)
+        for event in events:
+            writer(event)
+        with pytest.raises(TypeError):
+            writer.close()
+        assert writer._file.closed
+        sealed = path.read_bytes()
+        assert [event.time for event in read_events(str(path))] == [10, 50]
+        # the same log streaming mode writes, rejecting the bad event
+        buffer = io.BytesIO()
+        streaming = BinaryTraceWriter(buffer)
+        streaming(events[0])
+        with pytest.raises(TypeError):
+            streaming(events[1])
+        streaming(events[2])
+        streaming.close()
+        assert sealed == buffer.getvalue()
+        writer.close()
+        assert path.read_bytes() == sealed
+
 
 class TestRejection:
     def test_every_truncation_is_rejected(self):
@@ -268,6 +294,28 @@ class TestBusIntegration:
         self.emit_all(bus)
         assert seen == [event.kind for event in MIXED_EVENTS]
         assert writer.event_count == len(MIXED_EVENTS)
+
+    @pytest.mark.parametrize("sole_subscriber", [True, False],
+                             ids=["emit_raw", "event"])
+    def test_deferred_capture_adds_no_gc_tracked_objects(
+            self, sole_subscriber):
+        bus = EventBus()
+        buffer = io.BytesIO()
+        writer = BinaryTraceWriter(buffer, defer=True)
+        bus.subscribe(writer)
+        if not sole_subscriber:
+            bus.subscribe(lambda event: None)
+        assert (bus._raw is not None) is sole_subscriber
+        gc.collect()
+        before = len(gc.get_objects())
+        for index in range(10_000):
+            bus.emit("dispatch", 1_000_000 + index, tid=index, name="t",
+                     node="/a", cpu=0, switched=True, load=0.5, extra=None)
+        grown = len(gc.get_objects()) - before
+        writer.close()
+        assert grown < 100
+        assert len(BinaryTraceReader(io.BytesIO(buffer.getvalue()))) \
+            == 10_000
 
     def test_emit_raw_handles_unknown_kinds(self):
         writer = BinaryTraceWriter(buffer := io.BytesIO())

@@ -9,6 +9,8 @@ perfkit hierarchy, plus the committed golden binlog fixture.
 
 import io
 
+import pytest
+
 from repro.cpu.machine import Machine
 from repro.experiments import figure5
 from repro.obs import events as ev
@@ -100,10 +102,12 @@ class TestByteIdentity:
 class TestGoldenBinlog:
     """The committed binlog fixture is the codec's drift detector."""
 
-    def test_current_tree_reproduces_committed_bytes(self):
+    @pytest.mark.parametrize("defer", [False, True],
+                             ids=["stream", "defer"])
+    def test_current_tree_reproduces_committed_bytes(self, defer):
         with open(goldens.binlog_fixture_path(), "rb") as handle:
             committed = handle.read()
-        assert goldens.demo_binlog_bytes() == committed, (
+        assert goldens.demo_binlog_bytes(defer=defer) == committed, (
             "binlog capture of the demo workload diverged from "
             "tests/fixtures/golden/obs_demo.binlog; if the format or "
             "scheduling change is intentional, regenerate with "

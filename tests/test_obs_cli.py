@@ -88,6 +88,24 @@ class TestRecord:
         assert "deferred mode" in out
         assert deferred.read_bytes() == streamed_bytes
 
+    def test_failing_run_still_seals_the_log(self, tmp_path, monkeypatch):
+        def failing_demo(duration_ms):
+            machine, structure, threads = build_demo(duration_ms)
+            run_until = machine.run_until
+
+            def fail_halfway(horizon):
+                run_until(horizon // 2)
+                raise RuntimeError("workload failed")
+
+            machine.run_until = fail_halfway
+            return machine, structure, threads
+
+        monkeypatch.setattr("repro.obs.cli.build_demo", failing_demo)
+        path = tmp_path / "demo.binlog"
+        with pytest.raises(RuntimeError):
+            main(["record", str(path), "--duration-ms", "200"])
+        assert len(BinaryTraceReader(str(path))) > 0
+
 
 class TestConvert:
     @pytest.fixture()
