@@ -983,7 +983,7 @@ sfqc_sleep_chain(PyObject *Py_UNUSED(module), PyObject *chain)
 static PyObject *str_active, *str_bus, *str_engine, *str_now,
     *str_current, *str_stats, *str_burst_planned, *str_burst_compute_start,
     *str_burst_handle, *str_quantum_work_left, *str_quantum_work_done,
-    *str_paused, *str_intr_busy_until, *str_remaining_work, *str_state,
+    *str_paused_until, *str_intr_busy_until, *str_remaining_work, *str_state,
     *str_leaf, *str_scheduler, *str_wakeup_handle, *str_held_mutexes,
     *str_work_done, *str_cpu_time, *str_busy_time, *str_dispatches,
     *str_context_switches, *str_segments_completed, *str_blocks,
@@ -1829,8 +1829,7 @@ tick_dispatch(PyObject *machine, PyObject *engine, PyObject *sched,
         }
     }
     if (PyObject_SetAttr(machine, str_burst_planned, planned) < 0 ||
-        PyObject_SetAttr(machine, str_burst_compute_start, now) < 0 ||
-        PyObject_SetAttr(machine, str_paused, Py_False) < 0)
+        PyObject_SetAttr(machine, str_burst_compute_start, now) < 0)
         goto fail_planned;
     {
         /* duration = -((-planned * SECOND) // capacity)  (ceil division) */
@@ -1941,7 +1940,7 @@ machine_tick_impl(PyObject *machine)
         goto fail;
     /* ---- _finish_dispatch ------------------------------------------- */
     if (PyObject_SetAttr(machine, str_current, Py_None) < 0 ||
-        PyObject_SetAttr(machine, str_paused, Py_False) < 0)
+        PyObject_SetAttr(machine, str_paused_until, long_neg_one) < 0)
         goto fail;
     {
         PyObject *remaining = PyObject_GetAttr(cur, str_remaining_work);
@@ -2171,13 +2170,13 @@ wake_make_runnable(PyObject *machine, PyObject *engine, PyObject *sched,
     if (cur == NULL)
         return -1;
     if (cur != Py_None) {
-        PyObject *paused_flag = PyObject_GetAttr(machine, str_paused);
-        if (paused_flag == NULL) {
+        PyObject *until = PyObject_GetAttr(machine, str_paused_until);
+        if (until == NULL) {
             Py_DECREF(cur);
             return -1;
         }
-        int paused = PyObject_IsTrue(paused_flag);
-        Py_DECREF(paused_flag);
+        int paused = PyObject_RichCompareBool(now, until, Py_LE);
+        Py_DECREF(until);
         if (paused < 0) {
             Py_DECREF(cur);
             return -1;
@@ -2529,7 +2528,7 @@ static struct {
     {&str_burst_handle, "_burst_handle"},
     {&str_quantum_work_left, "_quantum_work_left"},
     {&str_quantum_work_done, "_quantum_work_done"},
-    {&str_paused, "_paused"},
+    {&str_paused_until, "_paused_until"},
     {&str_intr_busy_until, "_intr_busy_until"},
     {&str_remaining_work, "remaining_work"},
     {&str_state, "state"},
