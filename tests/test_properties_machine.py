@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
+from repro.cpu.interrupts import PeriodicInterruptSource
 from repro.cpu.machine import Machine
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
@@ -69,6 +70,24 @@ class TestMachineInvariants:
         assert stats.idle_time(engine.now) >= 0
         assert (stats.busy_time + stats.interrupt_time + stats.overhead_time
                 + stats.idle_time(engine.now)) == engine.now
+
+    @given(segment_scripts, weight_values, st.integers(100, 50_000),
+           st.floats(0.01, 0.9), st.integers(0, 50_000),
+           st.lists(st.integers(1, 400_000), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_time_accounting_exact_at_every_horizon(
+            self, scripts, weights, period_us, load, phase_us, horizons_us):
+        machine, engine, recorder, threads = build_machine(scripts, weights)
+        period = period_us * 1000
+        machine.add_interrupt_source(PeriodicInterruptSource(
+            period, max(1, int(period * load)), phase=phase_us * 1000))
+        stats = machine.stats
+        for horizon in sorted(set(horizons_us)):
+            machine.run_until(horizon * 1000)
+            assert stats.idle_time(engine.now) >= 0
+            assert (stats.busy_time + stats.interrupt_time
+                    + stats.overhead_time
+                    + stats.idle_time(engine.now)) == engine.now
 
     @given(segment_scripts, weight_values)
     @settings(max_examples=40, deadline=None)
