@@ -62,7 +62,8 @@ bench-baseline:
 # The repo benchmark's own checks (see perfbench/README.md): its test
 # suite, then one traced seed-1 run of each BENCHMARK.json workload, whose
 # last output line must report "correct": true (digests, conservation
-# checks and the layer-profile guard all passed).
+# checks and the layer-profile guard all passed), then an untraced
+# seed-166 paper_exact run, whose horizon lands inside interrupt service.
 perfbench-check:
 	python3 -m pytest perfbench/test_perfbench.py -q
 	@for w in paper_exact deep_float churn_traced; do \
@@ -72,6 +73,11 @@ perfbench-check:
 		echo "$$out"; \
 		echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1; \
 	done
+	@echo "== perfbench paper_exact seed 166 =="; \
+	out=$$(python3 perfbench/run.py --workload paper_exact --seed 166 \
+		--seconds 1) || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1
 
 # pytest-benchmark microbenchmarks of the paper figures (the old `bench`)
 microbench:
