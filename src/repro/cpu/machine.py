@@ -16,7 +16,9 @@ The machine owns every thread state transition.  Its execution model:
 * Interrupt service occupies the CPU at top priority; service times queue
   FIFO.  Stolen time is tracked so analysis code can fit FC/EBF parameters.
 * Scheduling decisions and context switches consume CPU according to a
-  pluggable :class:`~repro.cpu.costs.SchedulingCostModel` (Figure 7).
+  pluggable :class:`~repro.cpu.costs.SchedulingCostModel` (Figure 7),
+  booked as spent: an interrupt or a preemption inside the overhead
+  forgives the rest.
 
 Event priorities at equal timestamps: interrupts fire first, then wakeups,
 then burst completions, then deferred dispatch attempts and the finish of
@@ -329,6 +331,8 @@ class Machine(MachineBase):
         self._burst_handle = None
         #: paused while ``now <= _paused_until`` (a drain instant), else -1
         self._paused_until = -1
+        #: dispatch overhead past the last horizon, held back from stats
+        self._overhead_held = 0
         self._pending_dispatch = None
         # Compiled completion fast path.  Installed only for a plain
         # Machine (SmpMachine and subclasses keep the Python cycle); the
@@ -374,15 +378,23 @@ class Machine(MachineBase):
         """Advance the simulation to absolute ``time``.
 
         Accounting is settled at the horizon: a burst in flight at ``time``
-        has its work-so-far booked (and then continues), and interrupt
-        service past ``time`` is booked by the next call, so statistics
-        and traces are exact as of ``time``.
+        has its work-so-far booked (and then continues from the same
+        compute start), and interrupt service and dispatch overhead past
+        ``time`` are booked by the next call, so statistics and traces are
+        exact as of ``time`` and a horizon never moves the timeline.
         """
         self.engine.run_until(time)
         self._flush_burst()
         held = max(0, self._intr_busy_until - time)
         self.stats.interrupt_time += self._intr_held - held
         self._intr_held = held
+        # During a pause the gap before the compute start is interrupt
+        # service, held back above.
+        held = 0
+        if self.current is not None and time > self._paused_until:
+            held = max(0, self._burst_compute_start - time)
+        self.stats.overhead_time += self._overhead_held - held
+        self._overhead_held = held
 
     def run_for(self, duration: int) -> None:
         """Advance the simulation by ``duration`` nanoseconds."""
@@ -544,7 +556,8 @@ class Machine(MachineBase):
         if self.current.remaining_work == 0 or self._quantum_work_left == 0:
             self._finish_dispatch()
         else:
-            self._begin_burst(0)
+            self._begin_burst(
+                max(0, self._burst_compute_start - self.engine.now))
 
     def _preempt_current(self) -> None:
         assert self.current is not None
@@ -554,6 +567,10 @@ class Machine(MachineBase):
             self._bus.emit(obs.PREEMPT, self.engine.now, tid=self.current.tid,
                            node=_leaf_path(self.current))
         self._stop_burst()
+        unspent = self._burst_compute_start - self.engine.now
+        if unspent > 0:
+            # Preempted inside the dispatch overhead: the rest is never spent.
+            self.stats.overhead_time -= unspent
         self._finish_dispatch()
 
     def _finish_dispatch(self) -> None:
@@ -615,6 +632,10 @@ class Machine(MachineBase):
         computing from the drain instant, so no event marks the resume.
         A pause that consumed the quantum or segment instead finishes the
         dispatch at the drain instant, after that instant's wakeups.
+
+        A first pause inside the dispatch overhead forgives the rest of
+        the overhead (the burst computes from the drain instant), so only
+        the part spent before the interrupt stays in ``overhead_time``.
         """
         if service <= 0:
             return
@@ -631,6 +652,8 @@ class Machine(MachineBase):
         if now > self._paused_until:
             self.stats.pauses += 1
             self._stop_burst()
+            if now < self._burst_compute_start:
+                self.stats.overhead_time -= self._burst_compute_start - now
         else:
             self.engine.cancel(self._burst_handle)
         self._paused_until = busy_until

@@ -3,7 +3,8 @@ repeated run_until, interrupts straddling windows, pause edges."""
 
 import pytest
 
-from repro.core.hierarchy import PREEMPT_LEAF, HierarchicalScheduler
+from repro.core.hierarchy import (PREEMPT_LEAF, PREEMPT_NONE,
+                                  HierarchicalScheduler)
 from repro.core.structure import SchedulingStructure
 from repro.core.tags import FLOAT, TagMath
 from repro.cpu.costs import LinearCostModel
@@ -152,23 +153,68 @@ class TestPauseEdges:
         assert b.stats.exited_at == 17 * MS
         assert a.stats.exited_at == 107 * MS
 
-    def test_interrupt_inside_overhead_window(self):
+    @staticmethod
+    def _costly_machine(policy=PREEMPT_NONE, leaf_scheduler=None):
+        """One leaf, 1e6 ips, and a 300 us cost for a switching dispatch."""
         structure = SchedulingStructure()
-        leaf = structure.mknod("/apps", 1, scheduler=SfqScheduler())
-        machine = Machine(Simulator(), HierarchicalScheduler(structure),
+        leaf = structure.mknod("/apps", 1, scheduler=leaf_scheduler
+                               or SfqScheduler())
+        machine = Machine(Simulator(),
+                          HierarchicalScheduler(structure, policy),
                           capacity_ips=1_000_000, default_quantum=10 * MS,
                           cost_model=LinearCostModel(
                               base_ns=100 * US, per_level_ns=50 * US,
                               context_switch_ns=100 * US))
+        return machine, leaf
+
+    def test_interrupt_inside_overhead_window(self):
+        machine, leaf = self._costly_machine()
         thread = SimThread("t", SegmentListWorkload([Compute(5 * KILO)]))
         leaf.attach_thread(thread)
         machine.spawn(thread)
-        # the dispatch at 0 costs 300 us; the interrupt lands inside it
+        # the dispatch at 0 costs 300 us; the interrupt lands inside it,
+        # and the rest of the burst computes from the drain instant
         _interrupt_at(machine, 100 * US, 100 * US)
         machine.run_until(SECOND)
         assert machine.stats.pauses == 1
-        assert machine.stats.overhead_time == 300 * US
+        # only the 100 us spent before the interrupt is overhead
+        assert machine.stats.overhead_time == 100 * US
+        assert machine.stats.idle_time(SECOND) == SECOND - 5200 * US
         assert thread.stats.exited_at == 5200 * US
+
+    def test_horizon_inside_overhead_window(self):
+        machine, leaf = self._costly_machine()
+        thread = SimThread("t", SegmentListWorkload([Compute(5 * KILO)]))
+        leaf.attach_thread(thread)
+        machine.spawn(thread)
+        machine.run_until(100 * US)
+        # 100 us of the 300 us dispatch cost is spent by the horizon
+        assert machine.stats.overhead_time == 100 * US
+        assert machine.stats.idle_time(100 * US) == 0
+        machine.run_until(SECOND)
+        assert machine.stats.overhead_time == 300 * US
+        # the horizon did not restart the compute: same exit as unsplit
+        assert thread.stats.exited_at == 5300 * US
+
+    def test_preempt_leaf_inside_overhead_window(self):
+        machine, leaf = self._costly_machine(PREEMPT_LEAF, EdfScheduler())
+        a = SimThread("a", SegmentListWorkload([Compute(10 * KILO)]),
+                      params={"deadline": 100 * MS})
+        urgent = SimThread(
+            "urgent", SegmentListWorkload([SleepFor(100 * US),
+                                           Compute(KILO)]),
+            params={"deadline": 5 * MS})
+        for thread in (a, urgent):
+            leaf.attach_thread(thread)
+            machine.spawn(thread)
+        machine.run_until(SECOND)
+        assert machine.stats.preemptions == 1
+        # a's first dispatch is preempted 100 us into its 300 us cost;
+        # urgent's dispatch and a's second each cost a full 300 us
+        assert machine.stats.overhead_time == 700 * US
+        assert urgent.stats.exited_at == 1400 * US
+        assert a.stats.exited_at == 11700 * US
+        assert machine.stats.idle_time(SECOND) == SECOND - 11700 * US
 
     @pytest.mark.parametrize("wake_ms, preempted, urgent_exit_ms", [
         (2, 0, 13),  # inside the service window
