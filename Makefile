@@ -1,6 +1,6 @@
 # Convenience targets; plain pytest works too.
 
-.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine enginediff lint bench bench-quick bench-compare bench-baseline perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
+.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine enginediff lint perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
 
 install:
 	pip install -e .
@@ -43,22 +43,6 @@ lint:
 		echo "mypy not installed; skipping typed-core check"; \
 	fi
 
-# Scheduler hot-path suite (see docs/PERFORMANCE.md).  `bench` writes the
-# next free benchmarks/BENCH_<n>.json; `bench-compare` checks the latest
-# quick run against the committed CI baseline.
-bench:
-	python -m repro.perfkit run
-
-bench-quick:
-	python -m repro.perfkit run --quick
-
-bench-compare:
-	python -m repro.perfkit run --quick --out /tmp/BENCH_local.json
-	python -m repro.perfkit compare /tmp/BENCH_local.json benchmarks/baseline.json
-
-bench-baseline:
-	python -m repro.perfkit baseline --quick
-
 # The repo benchmark's own checks (see perfbench/README.md): its test
 # suite, then one traced seed-1 run of each BENCHMARK.json workload, whose
 # last output line must report "correct": true (digests, conservation
@@ -79,7 +63,7 @@ perfbench-check:
 	echo "$$out"; \
 	echo "$$out" | tail -n 1 | grep -q '"correct": true' || exit 1
 
-# pytest-benchmark microbenchmarks of the paper figures (the old `bench`)
+# pytest-benchmark microbenchmarks of the paper figures
 microbench:
 	pytest benchmarks/ --benchmark-only
 

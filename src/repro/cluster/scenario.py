@@ -1,9 +1,10 @@
-"""Named cluster scenarios: the fleet-scale analogue of perfkit scenarios.
+"""Named cluster scenarios: fleet-scale workloads for the cluster tier.
 
 Each scenario builds a :class:`~repro.cluster.spec.ClusterSpec` at a
 ``quick`` (CI) or full (local) size.  The spec helpers
 (:func:`storm_spec`, :func:`rebalance_spec`) are exported separately so
-perfkit can build bench-sized variants without duplicating geometry.
+the benchmark (perfbench's ``fleet_sharded``) can build its own sizes
+without duplicating geometry.
 
 ``cluster_storm`` at quick size is the CI determinism gate's subject:
 16 hosts, 50k tenant threads, byte-identical under ``--shards 1`` vs
@@ -106,7 +107,7 @@ class ClusterScenario:
         self.build = build
 
 
-#: scenario name -> builder (module-level registry, like perfkit's)
+#: scenario name -> builder (module-level registry)
 CLUSTER_SCENARIOS: Dict[str, ClusterScenario] = {}
 
 

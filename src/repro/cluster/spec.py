@@ -228,10 +228,10 @@ class ClusterSpec:
     def arrivals(self, seed: int) -> Iterator[TenantSpec]:
         """The deterministic tenant arrival schedule, in arrival order.
 
-        Arrival instants are evenly staggered over the arrival window
-        (like perfkit's storm scenarios); weights and affinity groups
-        draw from a ``Stream`` substream keyed by the tenant name, so
-        the schedule is independent of everything but ``seed``.
+        Arrival instants are evenly staggered over the arrival window;
+        weights and affinity groups draw from a ``Stream`` substream
+        keyed by the tenant name, so the schedule is independent of
+        everything but ``seed``.
         """
         stream = Stream(seed, "cluster/%s" % self.name).substream("arrivals")
         window = self.arrival_window_epochs * self.epoch_ns

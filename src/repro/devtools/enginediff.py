@@ -23,8 +23,7 @@ Workloads:
 
 ``depth8``
     A depth-8 hierarchy with churning interactive leaves and CPU hogs —
-    the shape that maximizes per-event chain walks, and the one the
-    perfkit ``deep_hierarchy`` scenario benchmarks.
+    the shape that maximizes per-event chain walks.
 
 ``figure8``
     The paper's Figure-8 SFQ1:SFQ2:SVR4 = 2:6:1 tree with exact tags and

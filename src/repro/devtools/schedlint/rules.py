@@ -387,8 +387,6 @@ _MUTABLE_ALLOWLIST = frozenset([
     ("repro/experiments/__main__.py", "EXPERIMENTS"),
     ("repro/faultlab/faults.py", "FAULTS"),
     ("repro/faultlab/workloads.py", "WORKLOADS"),
-    ("repro/faultlab/workloads.py", "PERFKIT_MIRRORS"),
-    ("repro/perfkit/scenarios.py", "SCENARIOS"),
     ("repro/threads/states.py", "ALLOWED_TRANSITIONS"),
 ])
 

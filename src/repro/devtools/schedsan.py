@@ -418,11 +418,9 @@ def shared_state_fingerprint() -> Tuple[Tuple[str, object], ...]:
     except ImportError:  # pragma: no cover - faultlab is always present
         pass
     try:
-        from repro.faultlab.workloads import PERFKIT_MIRRORS, WORKLOADS
+        from repro.faultlab.workloads import WORKLOADS
         entries.append(
             ("faultlab.workloads.WORKLOADS", tuple(sorted(WORKLOADS))))
-        entries.append(("faultlab.workloads.PERFKIT_MIRRORS",
-                        tuple(sorted(PERFKIT_MIRRORS))))
     except ImportError:  # pragma: no cover - faultlab is always present
         pass
     entries.append(("obs.events.BUS.subscribers",

@@ -11,10 +11,9 @@ claim into an adversarial, machine-checked one:
   drawing randomness from a seeded :class:`repro.sim.rng.Stream`
   substream so injectors never collide on RNG state;
 * :mod:`repro.faultlab.workloads` — self-contained **workload cells**
-  mirroring perfkit's macro-scenarios (enumerated through the public
-  :func:`repro.perfkit.scenarios` registry), each with a tracing
-  recorder, a collect-mode SCHEDSAN wrapper, and a periodic probe
-  thread for the delay-bound oracle;
+  (flat SFQ, the Figure-6 hierarchy, a deep chain and the QoS classes),
+  each with a tracing recorder, a collect-mode SCHEDSAN wrapper, and a
+  periodic probe thread for the delay-bound oracle;
 * :mod:`repro.faultlab.oracles` — per-cell **oracles**: SCHEDSAN
   invariants, the analytical fairness/delay bounds from
   :mod:`repro.analysis` with fault-adjusted slack, QoS admission

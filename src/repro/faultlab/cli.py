@@ -8,8 +8,7 @@ Subcommands:
     writing reproducers, and recording a binary trace of each failing
     cell next to its spec), 2 on usage errors.
 ``list``
-    Print the available fault kinds, workload cells, and the perfkit
-    macro-scenarios each cell mirrors.
+    Print the available fault kinds and workload cells.
 ``replay``
     Re-run a single cell from a ``.json`` spec written next to a
     reproducer; exit 0 when the failure reproduces, 2 when it vanished.
@@ -26,7 +25,7 @@ from repro.faultlab import campaign as _campaign
 from repro.faultlab.faults import FAULTS, ensure_registered
 from repro.faultlab.shrink import (record_cell_binlog, shrink_spec,
                                    write_reproducer)
-from repro.faultlab.workloads import PERFKIT_MIRRORS, WORKLOADS
+from repro.faultlab.workloads import WORKLOADS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,9 +74,9 @@ def _cmd_list() -> int:
         cls = FAULTS[kind]
         doc = (cls.__doc__ or "").strip().splitlines()[0]
         print("  %-18s %s" % (kind, doc))
-    print("workload cells (perfkit mirror):")
+    print("workload cells:")
     for name in sorted(WORKLOADS):
-        print("  %-18s %s" % (name, PERFKIT_MIRRORS.get(name, "-")))
+        print("  %s" % name)
     return 0
 
 

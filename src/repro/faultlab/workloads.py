@@ -6,10 +6,8 @@ collect-mode SCHEDSAN wrapper), threads, and optionally a scheduling
 structure and QoS manager — and returns a :class:`CellContext` the
 campaign runner arms faults against and the oracles evaluate.
 
-The cells mirror perfkit's macro-scenarios (:data:`PERFKIT_MIRRORS` maps
-each cell to the scenario it is derived from, validated against the
-public :func:`repro.perfkit.scenarios` registry) but are sized for
-fault campaigns and instrumented for the oracles:
+The cells are sized for fault campaigns and instrumented for the
+oracles:
 
 * every cell carries same-leaf *fair pairs* of CPU-bound threads for the
   SFQ fairness-bound oracle;
@@ -156,10 +154,7 @@ def _probe_fraction_tree(probe: SimThread) -> float:
 
 
 def flat_mix(stream: Stream, quick: bool) -> CellContext:
-    """Flat SFQ: three weighted hogs, one interactive daemon, one probe.
-
-    Derived from perfkit's ``figure5_replay``.
-    """
+    """Flat SFQ: three weighted hogs, one interactive daemon, one probe."""
     horizon = (2 if quick else 6) * SECOND
     quantum = 20 * MS
     engine = Simulator()
@@ -183,10 +178,7 @@ def flat_mix(stream: Stream, quick: bool) -> CellContext:
 
 
 def hierarchy_mix(stream: Stream, quick: bool) -> CellContext:
-    """The paper's Figure-6 hierarchy under mixed load.
-
-    Derived from perfkit's ``figure8_replay``.
-    """
+    """The paper's Figure-6 hierarchy under mixed load."""
     horizon = (2 if quick else 6) * SECOND
     quantum = 20 * MS
     structure, sfq1, sfq2, svr4 = figure6_structure(
@@ -225,11 +217,7 @@ def hierarchy_mix(stream: Stream, quick: bool) -> CellContext:
 
 
 def deep_tree(stream: Stream, quick: bool) -> CellContext:
-    """A deep chain hierarchy: dispatch walks several SFQ levels.
-
-    Derived from perfkit's ``deep_hierarchy`` (shallower, sized for
-    campaigns rather than throughput measurement).
-    """
+    """A deep chain hierarchy: dispatch walks several SFQ levels."""
     horizon = (2 if quick else 6) * SECOND
     quantum = 10 * MS
     structure = SchedulingStructure()
@@ -305,8 +293,7 @@ def _submit_logged(manager: QosManager, log: List[Dict[str, object]],
 def qos_mix(stream: Stream, quick: bool) -> CellContext:
     """The paper's §4 QoS classes with admission control in the loop.
 
-    Derived from perfkit's ``admission_storm`` (a handful of lifecycle
-    arrivals rather than thousands, with every decision recorded).
+    A handful of lifecycle arrivals, with every decision recorded.
     """
     horizon = (2 if quick else 6) * SECOND
     quantum = 20 * MS
@@ -367,24 +354,5 @@ WORKLOADS: Dict[str, Callable[[Stream, bool], CellContext]] = {
     "qos_mix": qos_mix,
 }
 
-#: cell -> the perfkit macro-scenario it is derived from
-PERFKIT_MIRRORS: Dict[str, str] = {
-    "flat_mix": "figure5_replay",
-    "hierarchy_mix": "figure8_replay",
-    "deep_tree": "deep_hierarchy",
-    "qos_mix": "admission_storm",
-}
-
 #: cells that have a scheduling structure (node churn applies)
 STRUCTURED_CELLS = ("hierarchy_mix", "deep_tree", "qos_mix")
-
-
-def validate_mirrors() -> None:
-    """Check every cell's perfkit ancestor exists in the public registry."""
-    from repro.perfkit import scenarios
-    known = scenarios()
-    for cell, ancestor in PERFKIT_MIRRORS.items():
-        if ancestor not in known:
-            raise ValueError(
-                "cell %r claims to mirror unknown perfkit scenario %r"
-                % (cell, ancestor))

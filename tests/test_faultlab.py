@@ -26,12 +26,7 @@ from repro.faultlab.campaign import (
 )
 from repro.faultlab.faults import FAULTS, build_fault, ensure_registered
 from repro.faultlab.shrink import reproducer_name, shrink_spec, write_reproducer
-from repro.faultlab.workloads import (
-    PERFKIT_MIRRORS,
-    STRUCTURED_CELLS,
-    WORKLOADS,
-    validate_mirrors,
-)
+from repro.faultlab.workloads import STRUCTURED_CELLS, WORKLOADS
 from repro.sim.rng import derive_seed
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -260,11 +255,3 @@ class TestCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(_spec()))
         assert main(["replay", str(spec_path)]) == 2
-
-
-class TestPerfkitMirrors:
-    def test_mirrors_validate(self):
-        validate_mirrors()
-
-    def test_every_workload_declares_a_mirror(self):
-        assert set(PERFKIT_MIRRORS) == set(WORKLOADS)

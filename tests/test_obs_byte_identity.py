@@ -3,28 +3,21 @@
 The binlog's whole contract is that recording to disk loses nothing: the
 Chrome trace JSON and schedstat text produced by *replaying* a binlog
 must be identical to what the in-memory collectors produced *live* on
-the same run.  Checked on the Figure-5 workload and on the depth-8
-perfkit hierarchy, plus the committed golden binlog fixture.
+the same run.  Checked on the Figure-5 workload and on enginediff's
+depth-8 hierarchy, plus the committed golden binlog fixture.
 """
 
 import io
 
 import pytest
 
-from repro.cpu.machine import Machine
+from repro.devtools import enginediff
 from repro.experiments import figure5
 from repro.obs import events as ev
 from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter, replay
 from repro.obs.chrometrace import ChromeTraceBuilder, validate_chrome_trace
 from repro.obs.schedstat import SchedStat, render_schedstat_paths
-from repro.perfkit.scenarios import _deep_tree
-from repro.core.hierarchy import HierarchicalScheduler
-from repro.sim.engine import Simulator
-from repro.sim.rng import make_rng
-from repro.threads.thread import SimThread
 from repro.units import MS, SECOND
-from repro.workloads.dhrystone import DhrystoneWorkload
-from repro.workloads.interactive import InteractiveWorkload
 
 from tests import goldens
 
@@ -55,23 +48,8 @@ def run_figure5():
 
 
 def run_deep_hierarchy():
-    """The perfkit deep_hierarchy scenario's depth-8 tree, shortened."""
-    structure, leaves = _deep_tree()
-    engine = Simulator()
-    machine = Machine(engine, HierarchicalScheduler(structure),
-                      capacity_ips=100_000_000, default_quantum=2 * MS)
-    for index, leaf in enumerate(leaves[:16]):
-        rng = make_rng(17, "churn/%d" % index)
-        thread = SimThread(
-            "churn-%d" % index,
-            InteractiveWorkload(burst_work=150_000, think_time=8 * MS,
-                                rng=rng))
-        leaf.attach_thread(thread)
-        machine.spawn(thread)
-        if index % 8 == 0:
-            hog = SimThread("hog-%d" % index, DhrystoneWorkload(300, 5_000))
-            leaf.attach_thread(hog)
-            machine.spawn(hog)
+    """enginediff's depth8 scenario, shortened."""
+    machine, __, ___ = enginediff.SCENARIOS["depth8"]()
     machine.run_until(300 * MS)
 
 
