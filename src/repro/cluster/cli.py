@@ -8,17 +8,20 @@
     counters, digests, and the head of the merged cluster schedstat.
 ``gate``
     The shard determinism gate: run the same scenario serially and
-    sharded, compare every shard-invariant digest, exit non-zero on any
-    byte difference.  CI runs this over ``cluster_storm``.
+    sharded, each capturing per-host binlogs into a temporary directory,
+    compare every shard-invariant digest and the binlog bytes, exit
+    non-zero on any byte difference.  CI runs this over ``cluster_storm``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
-from typing import List, Optional
+import tempfile
+from typing import Dict, List, Optional
 
 from repro.cluster.runner import run_cluster
 from repro.cluster.scenario import CLUSTER_SCENARIOS
@@ -117,12 +120,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _binlogs_digest(trace_dir: str) -> str:
+    """sha256 over every per-host binlog's name and bytes."""
+    lines = []
+    for name in sorted(os.listdir(trace_dir)):
+        with open(os.path.join(trace_dir, name), "rb") as fh:
+            lines.append("%s %s\n"
+                         % (name, hashlib.sha256(fh.read()).hexdigest()))
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+
+def _gate_digests(args: argparse.Namespace, shards: int) -> Dict[str, str]:
+    """One traced run's shard-invariant digests, binlogs included."""
+    spec = CLUSTER_SCENARIOS[args.scenario].build(args.quick)
+    with tempfile.TemporaryDirectory() as trace_dir:
+        result = run_cluster(spec, args.seed, shards=shards,
+                             trace_dir=trace_dir)
+        digests = result.digests()
+        digests["binlogs"] = _binlogs_digest(trace_dir)
+    return digests
+
+
 def _cmd_gate(args: argparse.Namespace) -> int:
-    build = CLUSTER_SCENARIOS[args.scenario].build
-    serial = run_cluster(build(args.quick), args.seed, shards=1)
-    sharded = run_cluster(build(args.quick), args.seed, shards=args.shards)
-    serial_digests = serial.digests()
-    sharded_digests = sharded.digests()
+    serial_digests = _gate_digests(args, 1)
+    sharded_digests = _gate_digests(args, args.shards)
     failed = False
     for name in sorted(serial_digests):
         ok = serial_digests[name] == sharded_digests[name]

@@ -6,10 +6,12 @@ A :class:`HostSim` wraps a complete single-host simulation — integer-ns
 
 * :meth:`apply` consumes directives (spawn / migrate / prepare-down)
   at a barrier, before the next epoch runs;
-* :meth:`advance` runs the machine to the next barrier, with the host's
-  own :class:`~repro.obs.schedstat.SchedStat` (and optional binlog
-  writer) subscribed on the global bus only for the duration of the
-  call, so co-resident hosts in one shard never see each other's events;
+* :meth:`advance` runs the machine to the next barrier.  The host's own
+  :class:`~repro.obs.schedstat.SchedStat` is the machine's ``tracer``,
+  so it (and the optional binlog writer) subscribe to the host's private
+  run bus from construction on: co-resident hosts in one shard never see
+  each other's events, and tenants spawned at a barrier are recorded
+  like any other;
 * :meth:`barrier_report` emits the host's outbox for the epoch —
   tenant exits and migrate-outs at their exact simulated times, then
   drain/load reports at the barrier instant — already in message sort
@@ -38,7 +40,6 @@ from repro.core.tags import FLOAT
 from repro.cpu.machine import Machine
 from repro.errors import ClusterError
 from repro.obs.binlog import BinaryTraceWriter
-from repro.obs.events import BUS
 from repro.obs.schedstat import SchedStat
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
@@ -91,23 +92,27 @@ class HostSim:
                 self.structure.mknod("l%d" % leaf, 1, parent=parent,
                                      scheduler=SfqScheduler(FLOAT))
         scheduler = HierarchicalScheduler(self.structure)
+        self.stats = SchedStat()
         self.machine: Union[Machine, SmpMachine]
         if spec.kind == "smp":
             self.machine = SmpMachine(self.engine, scheduler,
                                       num_cpus=spec.cpus,
                                       capacity_ips=spec.capacity_ips,
-                                      default_quantum=spec.quantum_ns)
+                                      default_quantum=spec.quantum_ns,
+                                      tracer=self.stats)
         else:
             self.machine = Machine(self.engine, scheduler,
                                    capacity_ips=spec.capacity_ips,
-                                   default_quantum=spec.quantum_ns)
+                                   default_quantum=spec.quantum_ns,
+                                   tracer=self.stats)
+        self._writer: Optional[BinaryTraceWriter] = None
+        if trace_path is not None:
+            self._writer = BinaryTraceWriter(trace_path)
+            self.engine.bus.subscribe(self._writer)
         if start_ns:
             # A fresh incarnation joins mid-run: align its empty simulator
             # with cluster time so message timestamps stay globally ordered.
             self.machine.run_until(start_ns)
-        self.stats = SchedStat()
-        self._writer = (BinaryTraceWriter(trace_path)
-                        if trace_path is not None else None)
         self.tenants: Dict[str, _Tenant] = {}
         self.draining = False
         self.frozen = False
@@ -164,20 +169,10 @@ class HostSim:
     # --- epoch execution --------------------------------------------------
 
     def advance(self, to_ns: int) -> None:
-        """Run this host's simulation to the barrier at ``to_ns``.
-
-        The host's stats (and binlog writer, when tracing) subscribe to
-        the process-global bus only while this host is executing.
-        """
+        """Run this host's simulation to the barrier at ``to_ns``."""
         if self.frozen or self.draining:
             return
-        if self._writer is not None:
-            with BUS.subscription(self.stats):
-                with BUS.subscription(self._writer):
-                    self.machine.run_until(to_ns)
-        else:
-            with BUS.subscription(self.stats):
-                self.machine.run_until(to_ns)
+        self.machine.run_until(to_ns)
 
     # --- barrier reporting ------------------------------------------------
 
@@ -236,7 +231,7 @@ class HostSim:
         """Seal the trace and summarize the incarnation's final state.
 
         The summary is keyed entirely by names — thread names, node
-        paths — never tids, so it is byte-identical across shard layouts.
+        paths — so it is byte-identical across shard layouts.
         """
         if self._writer is not None:
             self._writer.close()

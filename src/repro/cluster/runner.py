@@ -13,9 +13,8 @@
 The resulting :class:`ClusterResult` carries the three shard-invariant
 artifacts the CI gate compares byte-for-byte — the merged cluster trace,
 the placement log, and the merged cluster schedstat — plus per-host
-summaries and digests.  Per-host binlogs are deterministic for a fixed
-shard layout but are keyed by process-global tids, so they are *not*
-part of the cross-shard gate (the docs spell this out).
+summaries and digests.  Per-host binlogs are shard-invariant too: each
+host's simulator numbers its own threads.
 """
 
 from __future__ import annotations
@@ -123,9 +122,8 @@ def run_cluster(spec: ClusterSpec, seed: int, shards: int = 1,
                 trace_dir: Optional[str] = None) -> ClusterResult:
     """Run one cluster simulation; byte-identical for any ``shards``.
 
-    ``trace_dir`` additionally captures one binlog per host incarnation
-    (deterministic per shard layout; see the module docstring for why
-    binlogs are excluded from the cross-shard gate).
+    ``trace_dir`` additionally captures one binlog per host incarnation,
+    byte-identical for any ``shards`` as well.
     """
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)

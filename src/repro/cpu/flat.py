@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Optional, Set
 
 from repro.cpu.interface import TopScheduler
 from repro.errors import SchedulingError
+from repro.obs import events as obs
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schedulers.base import LeafScheduler
@@ -24,6 +25,10 @@ class FlatScheduler(TopScheduler):
     def __init__(self, scheduler: "LeafScheduler") -> None:
         self.leaf_scheduler = scheduler
         self._threads: Set["SimThread"] = set()
+
+    def attach_bus(self, bus: obs.EventBus) -> None:
+        self._bus = bus
+        self.leaf_scheduler.attach_bus(bus)
 
     def admit(self, thread: "SimThread") -> None:
         if thread in self._threads:

@@ -15,12 +15,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.obs import events as obs
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.threads.thread import SimThread
 
 
 class TopScheduler:
     """Abstract top-level scheduler driven by :class:`repro.cpu.machine.Machine`."""
+
+    #: the run's event bus; emit sites gate on ``self._bus.active``
+    _bus: obs.EventBus = obs.BUS
+
+    def attach_bus(self, bus: obs.EventBus) -> None:
+        """Emit on ``bus``, the run's bus (the machine installs it)."""
+        self._bus = bus
 
     def admit(self, thread: "SimThread") -> None:
         """Register a newly spawned thread (not yet runnable)."""

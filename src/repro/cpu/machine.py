@@ -30,6 +30,12 @@ eligible for that boundary's scheduling decision.
 workload segments (including synchronization), sleep and wakeup, and exit.
 This machine and :class:`~repro.smp.machine.SmpMachine` both inherit it;
 each keeps its own dispatch path.
+
+A machine runs in its simulator's run context.  ``spawn`` stamps each
+thread with the simulator's next tid, and every event goes to the run's
+bus, ``engine.bus``, which the machine installs on its scheduler.  A
+``tracer`` gives the run a private bus with the tracer subscribed, so
+it sees the whole stream: machine, hierarchy and leaf events alike.
 """
 
 from __future__ import annotations
@@ -79,23 +85,6 @@ def _leaf_path(thread: SimThread) -> str:
     return leaf.path if leaf is not None else "/"
 
 
-def _forward(event: obs.Event) -> None:
-    """Re-emit a machine's private-bus event on the process bus."""
-    if obs.BUS.active:
-        obs.BUS.emit(event.kind, event.time, **event.data)
-
-
-def _machine_bus(tracer) -> obs.EventBus:
-    """The process bus, or a private bus feeding ``tracer`` and then
-    :func:`_forward`."""
-    if tracer is None:
-        return obs.BUS
-    bus = obs.EventBus()
-    bus.subscribe(tracer)
-    bus.subscribe(_forward)
-    return bus
-
-
 class MachineStats:
     """Aggregate machine counters."""
 
@@ -138,10 +127,14 @@ class MachineBase:
         self.default_quantum = default_quantum
         #: default quantum pre-converted to instructions (per-dispatch path)
         self._default_quantum_work = work_from_time(default_quantum, capacity_ips)
-        #: bus subscriber scoped to this machine (a Recorder), or None
+        #: subscriber to this run's whole event stream (a Recorder), or None
         self.tracer = tracer
-        #: every emit site below gates on ``self._bus.active`` alone
-        self._bus = _machine_bus(tracer)
+        if tracer is not None:
+            if engine.bus is obs.BUS:
+                engine.bus = obs.EventBus()
+            engine.bus.subscribe(tracer)
+        #: the run's bus; every emit site below gates on ``self._bus.active``
+        self._bus = engine.bus
         self.threads: List[SimThread] = []
         #: compiled wakeup entry scheduled in place of ``_on_wakeup``, or None
         self._turbo_wake = None
@@ -149,6 +142,7 @@ class MachineBase:
         # Hierarchical schedulers want a clock for hsfq_move bookkeeping.
         if hasattr(scheduler, "clock"):
             scheduler.clock = lambda: self.engine.now
+        scheduler.attach_bus(self._bus)
 
     def _make_runnable(self, thread: SimThread) -> None:
         """Queue ``thread`` with the scheduler and dispatch if a CPU is free."""
@@ -365,8 +359,9 @@ class Machine(MachineBase):
         """Create ``thread`` now (or at absolute time ``at``) and return it.
 
         For a hierarchical scheduler, attach the thread to its leaf node
-        *before* spawning.
+        *before* spawning.  The thread takes the run's next tid here.
         """
+        thread.tid = self.engine.new_tid()
         self.threads.append(thread)
         if at is None or at <= self.engine.now:
             self._do_spawn(thread)

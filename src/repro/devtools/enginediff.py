@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import itertools
 import os
 import subprocess
 import sys
@@ -69,21 +68,16 @@ __all__ = ["SCENARIOS", "PROBES", "emit", "format_event", "run_gate", "main"]
 ENGINES = ("pure", "compiled")
 PROBES = ("trace", "schedstat")
 
-#: machine run produced by a scenario builder: (machine, threads, horizon)
+#: machine run produced by a scenario builder: (machine, threads, horizon);
+#: each builder takes an optional ``tracer`` for its machine
 ScenarioRun = Tuple[Machine, List[SimThread], int]
 
 
-def _reset_global_counters() -> None:
-    """Pin the process-global tid sequence so streams ignore import order."""
-    import repro.threads.thread as thread_module
-
-    thread_module._tid_counter = itertools.count(1)
-
-
-def _figure5() -> ScenarioRun:
+def _figure5(tracer=None) -> ScenarioRun:
     engine = Simulator()
     machine = Machine(engine, FlatScheduler(SfqScheduler()),
-                      capacity_ips=100_000_000, default_quantum=20 * MS)
+                      capacity_ips=100_000_000, default_quantum=20 * MS,
+                      tracer=tracer)
     threads = []
     for index in range(5):
         threads.append(SimThread("dhry-%d" % index,
@@ -99,7 +93,7 @@ def _figure5() -> ScenarioRun:
     return machine, threads, 2 * SECOND
 
 
-def _depth8() -> ScenarioRun:
+def _depth8(tracer=None) -> ScenarioRun:
     structure = SchedulingStructure(FLOAT)
     leaves = []
     for top in range(4):
@@ -110,7 +104,8 @@ def _depth8() -> ScenarioRun:
                                       scheduler=SfqScheduler(FLOAT)))
     engine = Simulator()
     machine = Machine(engine, HierarchicalScheduler(structure),
-                      capacity_ips=100_000_000, default_quantum=2 * MS)
+                      capacity_ips=100_000_000, default_quantum=2 * MS,
+                      tracer=tracer)
     threads = []
     for index, leaf in enumerate(leaves):
         rng = make_rng(17, "churn/%d" % index)
@@ -129,12 +124,13 @@ def _depth8() -> ScenarioRun:
     return machine, threads, 2 * SECOND
 
 
-def _figure8() -> ScenarioRun:
+def _figure8(tracer=None) -> ScenarioRun:
     structure, sfq1, sfq2, svr4 = figure6_structure(
         sfq1_weight=2, sfq2_weight=6, svr4_weight=1)
     engine = Simulator()
     machine = Machine(engine, HierarchicalScheduler(structure),
-                      capacity_ips=100_000_000, default_quantum=20 * MS)
+                      capacity_ips=100_000_000, default_quantum=20 * MS,
+                      tracer=tracer)
     machine.add_interrupt_source(PoissonInterruptSource(
         mean_interarrival=10 * MS, mean_service=100 * US,
         rng=make_rng(23, "figure8/intr")))
@@ -156,7 +152,7 @@ def _figure8() -> ScenarioRun:
     return machine, threads, 2 * SECOND
 
 
-SCENARIOS: Dict[str, Callable[[], ScenarioRun]] = {
+SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {
     "figure5": _figure5,
     "depth8": _depth8,
     "figure8": _figure8,
@@ -170,8 +166,7 @@ def format_event(event: obs.Event) -> str:
     return "%s t=%d %s" % (event.kind, event.time, fields)
 
 
-def _trace_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
-    _reset_global_counters()
+def _trace_lines(builder: Callable[..., ScenarioRun]) -> List[str]:
     lines: List[str] = []
     with obs.BUS.subscription(
             lambda event: lines.append(format_event(event))):
@@ -180,8 +175,7 @@ def _trace_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
     return lines
 
 
-def _schedstat_lines(builder: Callable[[], ScenarioRun]) -> List[str]:
-    _reset_global_counters()
+def _schedstat_lines(builder: Callable[..., ScenarioRun]) -> List[str]:
     machine, threads, horizon = builder()
     machine.run_until(horizon)
     engine = machine.engine

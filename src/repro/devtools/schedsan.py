@@ -162,6 +162,11 @@ class SchedsanScheduler(TopScheduler):
         if hasattr(self._inner, "clock"):
             self._inner.clock = fn  # type: ignore[attr-defined]
 
+    def attach_bus(self, bus: obs.EventBus) -> None:
+        """Installed by the machine; shared with the wrapped scheduler."""
+        self._bus = bus
+        self._inner.attach_bus(bus)
+
     def __getattr__(self, name: str) -> Any:
         # Delegate anything beyond the TopScheduler protocol (e.g.
         # ``structure``, ``preempt_policy``, ``leaf_scheduler``).
@@ -171,9 +176,9 @@ class SchedsanScheduler(TopScheduler):
                  message: str) -> None:
         time = self._clock() if now is None else now
         violation = Violation(rule, path, time, message)
-        if obs.BUS.active:
-            obs.BUS.emit(obs.VIOLATION, time, rule=rule, node=path,
-                         message=message)
+        if self._bus.active:
+            self._bus.emit(obs.VIOLATION, time, rule=rule, node=path,
+                           message=message)
         if len(self.violations) < MAX_COLLECTED:
             self.violations.append(violation)
         if self._mode == "raise":

@@ -8,8 +8,7 @@ across a multiprocessing pool.  Everything is deterministic:
 * each cell's seed is derived from the campaign seed and the cell id via
   :func:`repro.sim.rng.derive_seed`, so cells never share RNG state and
   adding a cell never perturbs another;
-* cell digests are keyed by thread *names*, never tids (tids come from a
-  process-global counter whose offset depends on what ran earlier);
+* cell digests are keyed by thread *names*, never tids;
 * reports carry no timestamps or host state — the same campaign seed
   produces a byte-identical report on every run, which CI and the
   acceptance tests assert.
@@ -32,6 +31,7 @@ from repro.faultlab.faults import (
 )
 from repro.faultlab.oracles import evaluate_cell
 from repro.faultlab.workloads import STRUCTURED_CELLS, WORKLOADS
+from repro.sim.engine import Simulator
 from repro.sim.rng import Stream, derive_seed
 from repro.threads.states import ThreadState
 
@@ -148,15 +148,19 @@ def _cell_digest(ctx, fault_log: List[Dict[str, object]],
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def run_cell(spec_dict: Dict[str, object]) -> Dict[str, object]:
+def run_cell(spec_dict: Dict[str, object],
+             engine: Optional[Simulator] = None) -> Dict[str, object]:
     """Build, fault, run, and judge one cell; returns a JSON-able result.
 
     Top-level by design: multiprocessing workers import and call it.
+    The cell runs on ``engine`` when given, so a caller can subscribe to
+    its run bus before the cell spawns anything.
     """
     spec = CellSpec.from_dict(spec_dict)
     root = Stream(spec.seed, spec.cell_id)
     builder = WORKLOADS[spec.workload]
-    ctx = builder(root.substream("workload"), spec.quick)
+    ctx = builder(engine if engine is not None else Simulator(),
+                  root.substream("workload"), spec.quick)
 
     base = FaultContext(ctx.machine, ctx.engine, ctx.structure,
                         root.substream("faults"), ctx.horizon)

@@ -22,7 +22,7 @@ Injection semantics worth knowing:
   to their analytical thresholds.
 
 Each injection is appended to the context's fault log and, when the
-observability bus has subscribers, emitted as a ``fault-inject`` event so
+run's event bus has subscribers, emitted as a ``fault-inject`` event so
 it appears on Perfetto timelines.
 """
 
@@ -80,21 +80,21 @@ class FaultContext:
         self.log: List[Dict[str, object]] = []
 
     def record(self, fault: str, action: str, **fields: object) -> None:
-        """Log one injection (and emit it on the observability bus)."""
+        """Log one injection (and emit it on the run's event bus)."""
         entry: Dict[str, object] = {"time": self.engine.now, "fault": fault,
                                     "action": action}
         entry.update(fields)
         self.log.append(entry)
-        if obs.BUS.active:
-            obs.BUS.emit(obs.FAULT_INJECT, self.engine.now, fault=fault,
-                         action=action, **fields)
+        bus = self.engine.bus
+        if bus.active:
+            bus.emit(obs.FAULT_INJECT, self.engine.now, fault=fault,
+                     action=action, **fields)
 
     def alive_threads(self) -> List["SimThread"]:
         """Threads not yet exited, in deterministic name order.
 
         Thread names are unique within a cell, so the order (and hence
-        every seeded victim draw) is independent of the process-global
-        tid counter.
+        every seeded victim draw) does not depend on spawn order.
         """
         return sorted(
             (t for t in self.machine.threads

@@ -153,17 +153,22 @@ def record_cell_binlog(spec_dict: Dict[str, object], out_dir: str) -> str:
     trace is kept: the events leading up to the crash are the evidence.
     """
     from repro.obs.binlog import BinaryTraceWriter
-    from repro.obs.events import BUS
+    from repro.obs.events import EventBus
+    from repro.sim.engine import Simulator
 
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir,
                         reproducer_name(spec_dict)[:-3] + ".binlog")
     with BinaryTraceWriter(path) as writer:
-        with BUS.subscription(writer):
-            try:
-                run_cell(spec_dict)
-            except Exception:  # noqa: BLE001 - crash traces are the point
-                pass
+        # A private run bus, subscribed before the cell is built: the
+        # cell's tracer joins it, and the spawns at build time are kept.
+        engine = Simulator()
+        engine.bus = EventBus()
+        engine.bus.subscribe(writer)
+        try:
+            run_cell(spec_dict, engine)
+        except Exception:  # noqa: BLE001 - crash traces are the point
+            pass
     return path
 
 

@@ -1,6 +1,6 @@
 """Workload cells: the simulations faults are injected into.
 
-Each builder constructs a fresh, self-contained simulation — engine,
+Each builder fills a fresh simulator with a self-contained simulation —
 machine (with a tracing :class:`~repro.trace.recorder.Recorder` and a
 collect-mode SCHEDSAN wrapper), threads, and optionally a scheduling
 structure and QoS manager — and returns a :class:`CellContext` the
@@ -153,11 +153,11 @@ def _probe_fraction_tree(probe: SimThread) -> float:
 # --- cells -------------------------------------------------------------------
 
 
-def flat_mix(stream: Stream, quick: bool) -> CellContext:
+def flat_mix(engine: Simulator, stream: Stream,
+             quick: bool) -> CellContext:
     """Flat SFQ: three weighted hogs, one interactive daemon, one probe."""
     horizon = (2 if quick else 6) * SECOND
     quantum = 20 * MS
-    engine = Simulator()
     machine = Machine(engine, _sanitized(FlatScheduler(SfqScheduler())),
                       capacity_ips=CAPACITY, default_quantum=quantum,
                       tracer=Recorder())
@@ -177,13 +177,13 @@ def flat_mix(stream: Stream, quick: bool) -> CellContext:
         probe_name="probe", probe_fraction=_probe_fraction_flat(machine, probe))
 
 
-def hierarchy_mix(stream: Stream, quick: bool) -> CellContext:
+def hierarchy_mix(engine: Simulator, stream: Stream,
+                  quick: bool) -> CellContext:
     """The paper's Figure-6 hierarchy under mixed load."""
     horizon = (2 if quick else 6) * SECOND
     quantum = 20 * MS
     structure, sfq1, sfq2, svr4 = figure6_structure(
         sfq1_weight=2, sfq2_weight=6, svr4_weight=1)
-    engine = Simulator()
     machine = Machine(engine, _sanitized(HierarchicalScheduler(structure)),
                       capacity_ips=CAPACITY, default_quantum=quantum,
                       tracer=Recorder())
@@ -216,7 +216,8 @@ def hierarchy_mix(stream: Stream, quick: bool) -> CellContext:
         root_weight_total=root_total)
 
 
-def deep_tree(stream: Stream, quick: bool) -> CellContext:
+def deep_tree(engine: Simulator, stream: Stream,
+              quick: bool) -> CellContext:
     """A deep chain hierarchy: dispatch walks several SFQ levels."""
     horizon = (2 if quick else 6) * SECOND
     quantum = 10 * MS
@@ -228,7 +229,6 @@ def deep_tree(stream: Stream, quick: bool) -> CellContext:
             node = structure.mknod("c%d" % level, 1, parent=node)
         leaves.append(structure.mknod("leaf", 1, parent=node,
                                       scheduler=SfqScheduler()))
-    engine = Simulator()
     machine = Machine(engine, _sanitized(HierarchicalScheduler(structure)),
                       capacity_ips=CAPACITY, default_quantum=quantum,
                       tracer=Recorder())
@@ -290,7 +290,8 @@ def _submit_logged(manager: QosManager, log: List[Dict[str, object]],
     return thread
 
 
-def qos_mix(stream: Stream, quick: bool) -> CellContext:
+def qos_mix(engine: Simulator, stream: Stream,
+            quick: bool) -> CellContext:
     """The paper's §4 QoS classes with admission control in the loop.
 
     A handful of lifecycle arrivals, with every decision recorded.
@@ -298,7 +299,6 @@ def qos_mix(stream: Stream, quick: bool) -> CellContext:
     horizon = (2 if quick else 6) * SECOND
     quantum = 20 * MS
     structure = SchedulingStructure()
-    engine = Simulator()
     machine = Machine(engine, _sanitized(HierarchicalScheduler(structure)),
                       capacity_ips=CAPACITY, default_quantum=quantum,
                       tracer=Recorder())
@@ -346,8 +346,8 @@ def qos_mix(stream: Stream, quick: bool) -> CellContext:
         root_weight_total=root_total, qos=manager, admission_log=log)
 
 
-#: cell name -> builder(stream, quick)
-WORKLOADS: Dict[str, Callable[[Stream, bool], CellContext]] = {
+#: cell name -> builder(engine, stream, quick); the cell runs on ``engine``
+WORKLOADS: Dict[str, Callable[[Simulator, Stream, bool], CellContext]] = {
     "flat_mix": flat_mix,
     "hierarchy_mix": hierarchy_mix,
     "deep_tree": deep_tree,

@@ -75,6 +75,13 @@ def _obs_now(structure: SchedulingStructure) -> int:
     return hierarchy.clock() if hierarchy is not None else 0
 
 
+def _obs_bus(structure: SchedulingStructure) -> obs.EventBus:
+    """The bus of the run driving ``structure`` (the process bus
+    off-machine)."""
+    hierarchy = structure.hierarchy
+    return hierarchy._bus if hierarchy is not None else obs.BUS
+
+
 def hsfq_mknod(structure: SchedulingStructure, name: str, parent: int,
                weight: int, flag: int = HSFQ_INTERNAL,
                sid: int = SCHED_SFQ) -> int:
@@ -95,9 +102,10 @@ def hsfq_mknod(structure: SchedulingStructure, name: str, parent: int,
     else:
         raise StructureError("unknown mknod flag %r" % (flag,))
     node = structure.mknod(name, weight, parent=parent, scheduler=scheduler)
-    if obs.BUS.active:
-        obs.BUS.emit(obs.NODE_CREATE, _obs_now(structure), node=node.path,
-                     weight=weight, leaf=flag == HSFQ_LEAF, sid=sid)
+    bus = _obs_bus(structure)
+    if bus.active:
+        bus.emit(obs.NODE_CREATE, _obs_now(structure), node=node.path,
+                 weight=weight, leaf=flag == HSFQ_LEAF, sid=sid)
     return node.node_id
 
 
@@ -113,8 +121,9 @@ def hsfq_rmnod(structure: SchedulingStructure, node_id: int,
     del mode  # the paper reserves a mode word; no modes are defined
     path = structure.resolve(node_id).path
     structure.rmnod(node_id)
-    if obs.BUS.active:
-        obs.BUS.emit(obs.NODE_REMOVE, _obs_now(structure), node=path)
+    bus = _obs_bus(structure)
+    if bus.active:
+        bus.emit(obs.NODE_REMOVE, _obs_now(structure), node=path)
 
 
 def hsfq_move(structure: SchedulingStructure, thread: "SimThread",
@@ -122,11 +131,11 @@ def hsfq_move(structure: SchedulingStructure, thread: "SimThread",
     """Move ``thread`` to the leaf with id ``to``."""
     source = thread.leaf
     structure.move(thread, to)
-    if obs.BUS.active:
-        obs.BUS.emit(obs.THREAD_MOVE, _obs_now(structure), tid=thread.tid,
-                     name=thread.name,
-                     node=structure.resolve(to).path,
-                     source=source.path if source is not None else "")
+    bus = _obs_bus(structure)
+    if bus.active:
+        bus.emit(obs.THREAD_MOVE, _obs_now(structure), tid=thread.tid,
+                 name=thread.name, node=structure.resolve(to).path,
+                 source=source.path if source is not None else "")
 
 
 def hsfq_admin(structure: SchedulingStructure, node_id: int, cmd: str,
@@ -136,8 +145,9 @@ def hsfq_admin(structure: SchedulingStructure, node_id: int, cmd: str,
     if cmd == HSFQ_ADMIN_SETWEIGHT:
         old_weight = structure.resolve(node_id).weight
     result = structure.admin(node_id, cmd, args)
-    if cmd == HSFQ_ADMIN_SETWEIGHT and obs.BUS.active:
+    bus = _obs_bus(structure)
+    if cmd == HSFQ_ADMIN_SETWEIGHT and bus.active:
         node = structure.resolve(node_id)
-        obs.BUS.emit(obs.WEIGHT_CHANGE, _obs_now(structure), node=node.path,
-                     weight=node.weight, old_weight=old_weight)
+        bus.emit(obs.WEIGHT_CHANGE, _obs_now(structure), node=node.path,
+                 weight=node.weight, old_weight=old_weight)
     return result

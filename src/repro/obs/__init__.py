@@ -3,13 +3,14 @@
 The package provides four layers, designed so that an un-instrumented run
 pays (almost) nothing:
 
-* :mod:`repro.obs.events` — a process-wide **event bus** of typed,
-  timestamped structured events (dispatch, preempt, block, wake, charge,
-  tag-update, vtime-advance, interrupt, sanitizer-violation, ...).  Emit
-  sites in the machines, the hierarchy, and the fair-queuing baselines are
-  guarded by ``BUS.active``, so with no subscriber attached no event object
-  is ever constructed and simulation results are byte-identical to an
-  un-instrumented build.
+* :mod:`repro.obs.events` — the **event bus** of typed, timestamped
+  structured events (dispatch, preempt, block, wake, charge, tag-update,
+  vtime-advance, interrupt, sanitizer-violation, ...).  Each run emits on
+  its simulator's bus (the process-wide ``BUS`` unless a tracer gave the
+  run a private one).  Emit sites in the machines, the hierarchy, and the
+  fair-queuing baselines are guarded by ``self._bus.active``, so with no
+  subscriber attached no event object is ever constructed and simulation
+  results are byte-identical to an un-instrumented build.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket latency
   histograms with a ``snapshot()`` API, plus :class:`SchedulerMetrics`, a
   bus subscriber that derives dispatch latency, run delay, and quantum

@@ -2,11 +2,11 @@
 
 The bus is the kernel-tracepoint analogue of this reproduction: emit sites
 are compiled into the machines, the hierarchy, the ``hsfq`` system-call
-layer, the fair-queuing baselines, and SCHEDSAN, but every site is guarded
-by :attr:`EventBus.active`::
+layer, the fair-queuing baselines, SCHEDSAN and faultlab, but every site
+is guarded by :attr:`EventBus.active`::
 
-    if BUS.active:
-        BUS.emit(DISPATCH, now, tid=thread.tid, node=leaf.path, ...)
+    if self._bus.active:
+        self._bus.emit(DISPATCH, now, tid=thread.tid, node=leaf.path, ...)
 
 With no subscriber attached the guard is a single attribute read and no
 event object (or keyword dict) is ever constructed, so traced-off runs are
@@ -14,11 +14,14 @@ byte-identical to an un-instrumented build.  Subscribers are plain
 callables invoked synchronously, in subscription order, with one
 :class:`Event`; they must observe, never mutate, simulation state.
 
-The process-wide default bus is :data:`BUS`.  A module-level bus (rather
-than one plumbed through every constructor) mirrors how kernel tracepoints
-work and lets deeply nested components (SFQ queues, leaf schedulers) emit
-without API changes; tests that subscribe temporarily should use
-:meth:`EventBus.subscription` so the bus is always left clean.
+Every site of a run emits on that run's bus, ``Simulator.bus``: the
+machine installs it on its scheduler (which hands it to the leaves that
+emit), as it installs the clock.  A run's bus is the process-wide
+default :data:`BUS`, unless a machine's ``tracer=`` gave the run a
+private bus with the tracer subscribed; then the tracer sees the run's
+whole stream and subscribers on :data:`BUS` see none of it.  Scripts
+and tests that subscribe temporarily should use
+:meth:`EventBus.subscription` so a bus is always left clean.
 """
 
 from __future__ import annotations

@@ -34,11 +34,6 @@ from repro.obs import events as obs
 from repro.schedulers.base import LeafScheduler
 from repro.units import SECOND
 
-#: module-level alias of the process-wide bus: emit-site guards are on
-#: the per-dispatch hot path, and `_BUS.active` is one attribute lookup
-#: cheaper than `obs.BUS.active`.
-_BUS = obs.BUS
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.threads.thread import SimThread
 
@@ -135,10 +130,10 @@ class _FairQueueBase(LeafScheduler):
         self._runnable += 1
         self._weight_sum += weight
         record.counted_weight = weight
-        if _BUS.active:
-            _BUS.emit(obs.TAG_UPDATE, now, node="fq:" + self.algorithm,
-                         tid=thread.tid, start=record.start,
-                         finish=record.finish, work=0)
+        if self._bus.active:
+            self._bus.emit(obs.TAG_UPDATE, now, node="fq:" + self.algorithm,
+                           tid=thread.tid, start=record.start,
+                           finish=record.finish, work=0)
 
     def on_block(self, thread: "SimThread", now: int) -> None:
         record = self._record(thread)
@@ -174,11 +169,11 @@ class _FairQueueBase(LeafScheduler):
             record.start = max(virtual, record.finish)
             record.finish = record.start + self.assumed_quantum_work / weight
             self._push(record)
-            if _BUS.active:
-                _BUS.emit(obs.TAG_UPDATE, now,
-                             node="fq:" + self.algorithm, tid=thread.tid,
-                             start=record.start, finish=record.finish,
-                             work=work)
+            if self._bus.active:
+                self._bus.emit(obs.TAG_UPDATE, now,
+                               node="fq:" + self.algorithm, tid=thread.tid,
+                               start=record.start, finish=record.finish,
+                               work=work)
 
     def has_runnable(self) -> bool:
         return self._runnable > 0
@@ -243,9 +238,9 @@ class _RateClockMixin:
         if weight_sum > 0:
             elapsed = now - self._v_updated
             self._v += (elapsed * self.capacity_ips) / (SECOND * weight_sum)
-            if _BUS.active:
-                _BUS.emit(obs.VTIME_ADVANCE, now,
-                             node="fq:" + self.algorithm, v=self._v)
+            if self._bus.active:
+                self._bus.emit(obs.VTIME_ADVANCE, now,
+                               node="fq:" + self.algorithm, v=self._v)
         self._v_updated = now
 
 

@@ -5,6 +5,11 @@ sources, workload timers) schedule callbacks; :meth:`Simulator.run_until`
 drains the queue in timestamp order and advances the clock.  Nothing in the
 engine knows about scheduling — that separation keeps the substrate reusable
 and easy to test in isolation.
+
+A simulator is also its run's context: the event bus every component of
+the run emits on (:attr:`Simulator.bus`) and the thread-id sequence the
+machines stamp spawned threads from (:meth:`Simulator.new_tid`).  Nothing
+a run emits or numbers depends on what else ran in the process.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.engine import OPS as _ENGINE_OPS
 from repro.errors import SimulationError
+from repro.obs import events as obs
 from repro.sim.events import EventHandle, EventQueue
 
 #: compiled drain loop (None on the pure engine).  ``sim_drain`` mirrors
@@ -24,7 +30,7 @@ _SIM_DRAIN = getattr(_ENGINE_OPS, "sim_drain", None)
 class Simulator:
     """A discrete-event simulator with an integer-nanosecond clock."""
 
-    __slots__ = ("_queue", "now", "_running", "_fired")
+    __slots__ = ("_queue", "now", "_running", "_fired", "bus", "_tids")
 
     def __init__(self) -> None:
         self._queue: EventQueue = EventQueue()
@@ -35,6 +41,15 @@ class Simulator:
         self.now: int = 0
         self._running: bool = False
         self._fired: int = 0
+        #: the bus this run's events go to: the process bus, unless a
+        #: machine's ``tracer=`` gave the run a private one
+        self.bus: obs.EventBus = obs.BUS
+        self._tids = 0
+
+    def new_tid(self) -> int:
+        """The next thread id of this run: 1, 2, ... in spawn order."""
+        self._tids += 1
+        return self._tids
 
     @property
     def events_fired(self) -> int:

@@ -80,7 +80,9 @@ class SmpMachine(MachineBase):
         return len(self.cpus)
 
     def spawn(self, thread: SimThread, at: Optional[int] = None) -> SimThread:
-        """Create ``thread`` now or at absolute time ``at``."""
+        """Create ``thread`` now or at absolute time ``at``; it takes the
+        run's next tid."""
+        thread.tid = self.engine.new_tid()
         self.threads.append(thread)
         if at is None or at <= self.engine.now:
             self._do_spawn(thread)

@@ -62,8 +62,8 @@ class SimMutex:
         self.donate_weight = donate_weight
         self.holder: Optional["SimThread"] = None
         self.waiters: Deque["SimThread"] = deque()
-        #: live donations: waiter tid -> donated amount (to current holder)
-        self._donations: Dict[int, int] = {}
+        #: live donations: waiter -> donated amount (to current holder)
+        self._donations: Dict["SimThread", int] = {}
 
     @property
     def locked(self) -> bool:
@@ -86,7 +86,7 @@ class SimMutex:
         self.waiters.append(thread)
         if self.donate_weight and self.holder is not None:
             amount = thread.weight
-            self._donations[thread.tid] = amount
+            self._donations[thread] = amount
             self.holder.set_weight(self.holder.weight + amount)
 
     def release(self, thread: "SimThread") -> Optional["SimThread"]:
@@ -111,7 +111,7 @@ class SimMutex:
         self.holder = new_holder
         if self.donate_weight:
             for waiter in self.waiters:
-                self._donations[waiter.tid] = waiter.weight
+                self._donations[waiter] = waiter.weight
             boost = sum(self._donations.values())
             if boost:
                 new_holder.set_weight(new_holder.weight + boost)
@@ -121,7 +121,7 @@ class SimMutex:
         """Remove a waiter that will never be granted (exit/teardown)."""
         if thread in self.waiters:
             self.waiters.remove(thread)
-            amount = self._donations.pop(thread.tid, 0)
+            amount = self._donations.pop(thread, 0)
             if amount and self.holder is not None:
                 self.holder.set_weight(max(1, self.holder.weight - amount))
 

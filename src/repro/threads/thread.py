@@ -9,14 +9,11 @@ transition in exactly one place (the machine).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Optional
 
 from repro.errors import SchedulingError
 from repro.threads.segments import Workload
 from repro.threads.states import ALLOWED_TRANSITIONS, ThreadState
-
-_tid_counter = itertools.count(1)
 
 
 class ThreadStats:
@@ -74,7 +71,8 @@ class SimThread:
                  params: Optional[Dict[str, Any]] = None) -> None:
         if weight <= 0:
             raise ValueError("thread weight must be positive, got %r" % (weight,))
-        self.tid = next(_tid_counter)
+        #: the run's thread id, stamped at spawn (0 until then)
+        self.tid = 0
         self.name = name
         self.workload = workload
         self.weight = weight

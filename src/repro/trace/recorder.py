@@ -17,7 +17,7 @@ live or replayed from a binlog.  All computation over the trace lives in
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
 
@@ -110,7 +110,12 @@ class ThreadTrace:
 
 class Recorder:
     """An event-bus subscriber: pass it as ``Machine(tracer=...)``,
-    subscribe it to the process bus, or ``replay(path, recorder)``."""
+    subscribe it to a run's bus, or ``replay(path, recorder)``.
+
+    It is a raw consumer: as the only subscriber of a bus (the usual
+    ``tracer=`` case) it is handed each event's fields directly through
+    :meth:`emit_raw`, and the bus builds no :class:`~repro.obs.events.Event`.
+    """
 
     def __init__(self) -> None:
         self.threads: Dict[int, ThreadTrace] = {}
@@ -123,8 +128,11 @@ class Recorder:
         return self.threads[thread.tid]
 
     def __call__(self, event: ev.Event) -> None:
+        """Fold one event in (see :meth:`emit_raw`)."""
+        self.emit_raw(event.kind, event.time, event.data)
+
+    def emit_raw(self, kind: str, t: int, data: Dict[str, Any]) -> None:
         """Fold one event in; kinds that are not machine facts are ignored."""
-        kind, t, data = event.kind, event.time, event.data
         if kind == ev.INTERRUPT:
             self.interrupts.append((t, data["service"]))
             return

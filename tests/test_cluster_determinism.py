@@ -1,14 +1,15 @@
 """Property tests for cluster shard determinism and merge validation.
 
-The contract under test is ISSUE 10's headline guarantee: a cluster run
-is a pure function of ``(spec, seed)`` — the shard count, the worker
-scheduling, and the host registration order can never change a byte of
-the merged trace, the placement log, the merged schedstat, or the host
-summaries.  The seeded-skew test pins the enforcement side: the k-way
+The contract under test is the cluster tier's headline guarantee: a
+cluster run is a pure function of ``(spec, seed)`` — the shard count, the
+worker scheduling, and the host registration order can never change a
+byte of the merged trace, the placement log, the merged schedstat, the
+host summaries, or the per-host binlogs.  The seeded-skew test pins the enforcement side: the k-way
 merge *detects* ordering bugs rather than papering over them with a
 sort.
 """
 
+import os
 import random
 
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ import pytest
 from repro.cluster.churn import build_churn
 from repro.cluster.messages import merge_outboxes, message
 from repro.cluster.runner import run_cluster
+from repro.cluster.scenario import CLUSTER_SCENARIOS
 from repro.cluster.spec import ClusterSpec, HostSpec
 from repro.errors import ClusterError
+from repro.obs.binlog import BinaryTraceReader
 from repro.units import MS
 
 
@@ -82,6 +85,43 @@ class TestShardByteIdentity:
         assert shuffled.host_names() == canonical.host_names()
         assert (run_cluster(shuffled, seed).digests()
                 == run_cluster(canonical, seed).digests())
+
+
+class TestHostBinlogs:
+    """Per-host binlogs of ``cluster_mini`` (quick, seed 42), traced at
+    shards 1 and 2: each host numbers its own threads, and its stream
+    starts with the tenants spawned at a barrier."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        runs = {}
+        for shards in (1, 2):
+            trace_dir = tmp_path_factory.mktemp("binlogs-shards%d" % shards)
+            spec = CLUSTER_SCENARIOS["cluster_mini"].build(True)
+            result = run_cluster(spec, 42, shards=shards,
+                                 trace_dir=str(trace_dir))
+            runs[shards] = (result, trace_dir)
+        return runs
+
+    def test_binlog_bytes_identical_across_shards(self, traced):
+        serial_dir, sharded_dir = traced[1][1], traced[2][1]
+        names = sorted(os.listdir(serial_dir))
+        assert names and names == sorted(os.listdir(sharded_dir))
+        for name in names:
+            assert (serial_dir / name).read_bytes() == \
+                (sharded_dir / name).read_bytes(), name
+
+    def test_binlog_counts_match_host_summaries(self, traced):
+        result, trace_dir = traced[1]
+        for host in result.hosts:
+            path = trace_dir / ("host-%s.binlog" % host["key"])
+            kinds = BinaryTraceReader(str(path)).info()["kinds"]
+            spawned = sum(1 for row in host["tenants"]
+                          if row["state"] != "new")
+            assert (host["key"], kinds.get("dispatch", 0)) == \
+                (host["key"], host["dispatches"])
+            assert (host["key"], kinds.get("spawn", 0)) == \
+                (host["key"], spawned)
 
 
 class TestSeededSkew:

@@ -219,6 +219,9 @@ class TestSelfValidation:
         assert path.name == reproducer_name(spec)[:-3] + ".binlog"
         reader = BinaryTraceReader(str(path))
         assert len(reader) > 0  # sealed and decodable even on failure
+        # the whole cell, from its first spawn: every dispatch is there
+        dispatches = run_cell(spec)["counters"]["dispatches"]
+        assert reader.info()["kinds"]["dispatch"] == dispatches
 
 
 class TestCli:

@@ -5,7 +5,6 @@ import io
 
 import pytest
 
-from repro.obs import events as ev
 from repro.obs.binlog import (
     BinaryTraceReader,
     BinaryTraceWriter,
@@ -331,7 +330,8 @@ def test_machine_capture_matches_event_formatting(harness):
     buffer = io.BytesIO()
     writer = BinaryTraceWriter(buffer)
     live = []
-    with ev.BUS.subscription(writer), ev.BUS.subscription(
+    bus = harness.engine.bus
+    with bus.subscription(writer), bus.subscription(
             lambda event: live.append(
                 (event.kind, event.time, dict(event.data)))):
         harness.spawn_dhrystone("a")
@@ -340,4 +340,4 @@ def test_machine_capture_matches_event_formatting(harness):
     writer.close()
     decoded = [(event.kind, event.time, event.data)
                for event in read_events(io.BytesIO(buffer.getvalue()))]
-    assert decoded == live
+    assert live and decoded == live

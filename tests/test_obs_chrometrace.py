@@ -22,7 +22,7 @@ def build_trace():
     harness.spawn_dhrystone("alpha", weight=2)
     harness.spawn_dhrystone("beta", weight=1)
     builder = ChromeTraceBuilder()
-    with ev.BUS.subscription(builder):
+    with harness.engine.bus.subscription(builder):
         harness.machine.run_until(60 * MS)
     return builder
 

@@ -8,7 +8,6 @@ from repro.obs.binlog import BinaryTraceReader
 from repro.obs.chrometrace import validate_chrome_trace
 from repro.obs.cli import build_demo, main
 
-from tests import goldens
 
 
 class TestDemo:
@@ -79,11 +78,9 @@ class TestRecord:
         assert len(reader) > 100
 
     def test_record_defer_produces_identical_bytes(self, tmp_path, capsys):
-        goldens._reset_global_counters()
         streamed, __ = self.record(tmp_path, capsys)
         streamed_bytes = streamed.read_bytes()
         streamed.unlink()
-        goldens._reset_global_counters()
         deferred, out = self.record(tmp_path, capsys, "--defer")
         assert "deferred mode" in out
         assert deferred.read_bytes() == streamed_bytes
@@ -122,11 +119,9 @@ class TestConvert:
         assert validate_chrome_trace(json.loads(chrome.read_text())) > 0
 
     def test_chrome_matches_live_demo_export(self, binlog, tmp_path, capsys):
-        goldens._reset_global_counters()
         live = tmp_path / "live.json"
         assert main(["demo", "--duration-ms", "200",
                      "--out", str(live)]) == 0
-        goldens._reset_global_counters()
         recorded = tmp_path / "rec.binlog"
         assert main(["record", str(recorded), "--duration-ms", "200"]) == 0
         replayed = tmp_path / "replayed.json"

@@ -72,7 +72,7 @@ class TestLiveRun:
         harness = Harness()
         stats = SchedStat()
         # Subscribe before spawning: the first dispatch fires at spawn time.
-        with ev.BUS.subscription(stats):
+        with harness.engine.bus.subscription(stats):
             a = harness.spawn_dhrystone("a", weight=2)
             b = harness.spawn_dhrystone("b", weight=1)
             harness.machine.run_until(60 * MS)

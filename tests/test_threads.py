@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.cpu.flat import FlatScheduler
+from repro.cpu.machine import Machine
 from repro.errors import SchedulingError, WorkloadError
+from repro.schedulers.fifo import FifoScheduler
+from repro.sim.engine import Simulator
+from repro.smp.machine import SmpMachine
 from repro.threads.segments import (
     Compute,
     Exit,
@@ -12,6 +17,7 @@ from repro.threads.segments import (
 )
 from repro.threads.states import ALLOWED_TRANSITIONS, ThreadState
 from repro.threads.thread import SimThread
+from repro.units import MS
 
 
 class TestSegments:
@@ -74,7 +80,16 @@ class TestSimThread:
         assert self.make().state is ThreadState.NEW
 
     def test_unique_tids(self):
-        assert self.make().tid != self.make().tid
+        """tids run 1..n in spawn order on each Simulator, 0 before."""
+        for machine_class in (Machine, SmpMachine, Machine):
+            machine = machine_class(Simulator(),
+                                    FlatScheduler(FifoScheduler()))
+            threads = [self.make() for __ in range(3)]
+            assert [t.tid for t in threads] == [0, 0, 0]
+            machine.spawn(threads[2])
+            machine.spawn(threads[0], at=MS)
+            machine.spawn(threads[1])
+            assert [t.tid for t in threads] == [2, 3, 1]
 
     def test_valid_transition(self):
         thread = self.make()

@@ -77,7 +77,7 @@ class TestExtractFromRecorder:
     def test_recorder_spans_match_event_spans(self, harness):
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer)
-        with ev.BUS.subscription(writer):
+        with harness.engine.bus.subscription(writer):
             harness.spawn_dhrystone("a")
             harness.spawn_dhrystone("b", weight=2)
             harness.machine.run_until(200 * MS)
@@ -93,7 +93,7 @@ class TestExtractFromRecorder:
         other = harness.structure.mknod("/other", 1,
                                         scheduler=SfqScheduler())
         events = []
-        with ev.BUS.subscription(events.append):
+        with harness.engine.bus.subscription(events.append):
             thread = harness.spawn_segments(
                 "mover", [Compute(10_000), SleepFor(20 * MS),
                           Compute(10_000), SleepFor(SECOND)])
