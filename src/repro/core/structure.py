@@ -54,6 +54,7 @@ class SchedulingStructure:
         self.tree_version = 0
         self._register(self.root)
         #: back-reference set by HierarchicalScheduler; used by thread moves
+        #: and to install the run's bus on leaves made later
         self.hierarchy = None
 
     # --- registration ----------------------------------------------------
@@ -97,6 +98,8 @@ class SchedulingStructure:
                 "node %r already exists" % (parent_node.path.rstrip("/") + "/" + short_name,))
         if scheduler is not None:
             node: Node = LeafNode(short_name, weight, parent_node, scheduler)
+            if self.hierarchy is not None:
+                scheduler.attach_bus(self.hierarchy._bus)
         else:
             node = InternalNode(short_name, weight, parent_node,
                                 tag_math=self.tag_math)

@@ -44,14 +44,26 @@ def _add_daemons(setup: FlatSetup, seed: int, svr4: bool) -> None:
         setup.spawn(daemon)
 
 
-def _run_one(scheduler, svr4: bool, threads: int, duration: int,
-             seed: int) -> Tuple[List[SimThread], FlatSetup]:
-    setup = FlatSetup(scheduler, capacity_ips=DEFAULT_CAPACITY_IPS,
-                      default_quantum=20 * MS)
+def build_arm(scheduler) -> FlatSetup:
+    """One of the experiment's two machines, built and still empty.
+
+    It traces into ``setup.recorder`` on a private run bus; a caller may
+    subscribe more collectors to ``setup.engine.bus`` before
+    :func:`run_arm` spawns the first thread.
+    """
+    return FlatSetup(scheduler, capacity_ips=DEFAULT_CAPACITY_IPS,
+                     default_quantum=20 * MS)
+
+
+def run_arm(setup: FlatSetup, threads: int, duration: int,
+            seed: int) -> List[SimThread]:
+    """Spawn ``threads`` Dhrystones and the two daemons on ``setup`` and
+    run it for ``duration``; returns the Dhrystone threads."""
     workers = spawn_dhrystones(setup, None, threads, prefix="dhry")
-    _add_daemons(setup, seed, svr4)
+    _add_daemons(setup, seed,
+                 isinstance(setup.leaf_scheduler, Svr4TimeSharing))
     setup.machine.run_until(duration)
-    return workers, setup
+    return workers
 
 
 def _mean_window_cov(setup: FlatSetup, workers: List[SimThread], window: int,
@@ -69,14 +81,13 @@ def _mean_window_cov(setup: FlatSetup, workers: List[SimThread], window: int,
     return mean(covs)
 
 
-def run(threads: int = 5, duration: int = 30 * SECOND,
-        seed: int = 11) -> ExperimentResult:
-    """Compare per-thread throughput spread under TS and SFQ."""
-    ts_workers, ts_setup = _run_one(Svr4TimeSharing(), True, threads,
-                                    duration, seed)
-    sfq_workers, sfq_setup = _run_one(SfqScheduler(), False, threads,
-                                      duration, seed)
-
+def compare(ts: Tuple[FlatSetup, List[SimThread]],
+            sfq: Tuple[FlatSetup, List[SimThread]],
+            duration: int) -> ExperimentResult:
+    """The Figure-5 table from the TS and SFQ arms' ``(setup, workers)``,
+    each run for ``duration``."""
+    ts_setup, ts_workers = ts
+    sfq_setup, sfq_workers = sfq
     ts_loops = [loops_completed(t) for t in ts_workers]
     sfq_loops = [loops_completed(t) for t in sfq_workers]
 
@@ -88,7 +99,7 @@ def run(threads: int = 5, duration: int = 30 * SECOND,
     sfq_window_cov = _mean_window_cov(sfq_setup, sfq_workers, window, duration)
 
     rows = []
-    for index in range(threads):
+    for index in range(len(ts_workers)):
         rows.append(["thread-%d" % index, ts_loops[index], sfq_loops[index]])
     rows.append(["min", min(ts_loops), min(sfq_loops)])
     rows.append(["max", max(ts_loops), max(sfq_loops)])
@@ -106,6 +117,16 @@ def run(threads: int = 5, duration: int = 30 * SECOND,
     return ExperimentResult(
         "Figure 5: Dhrystone loops under SVR4 time-sharing vs SFQ",
         ["metric", "SVR4 TS", "SFQ"], rows, notes=notes)
+
+
+def run(threads: int = 5, duration: int = 30 * SECOND,
+        seed: int = 11) -> ExperimentResult:
+    """Compare per-thread throughput spread under TS and SFQ."""
+    arms = []
+    for scheduler in (Svr4TimeSharing(), SfqScheduler()):
+        setup = build_arm(scheduler)
+        arms.append((setup, run_arm(setup, threads, duration, seed)))
+    return compare(arms[0], arms[1], duration)
 
 
 def main() -> None:

@@ -11,11 +11,11 @@ from tests import goldens
 
 
 def main() -> None:
-    for name, builder in goldens.SCENARIOS.items():
-        payload = goldens.write_fixture(name, builder())
+    for name in goldens.RUNS:
+        payload = goldens.write_fixture(name, goldens.stream(name))
         print("%-12s %7d events  sha256=%s" % (
             name, payload["events"], payload["sha256"]))
-    for name in goldens.RECORDER_RUNS:
+    for name in goldens.RECORDER_NAMES:
         payload = goldens.write_recorder_fixture(
             name, goldens.tracer_recorder(name))
         print("%-12s %7d threads sha256=%s  (Recorder fixture)" % (
