@@ -1,8 +1,7 @@
 """``python -m repro.cluster`` — see :mod:`repro.cluster.cli`."""
 
-import sys
-
 from repro.cluster.cli import main
+from repro.entry import run_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -117,9 +117,9 @@ class HierarchicalScheduler(TopScheduler):
         if self._bus.active:
             # the virtual time the descent just set at each level, root first
             for entry in reversed(self._chain_for(leaf)):
-                self._bus.emit(obs.VTIME_ADVANCE, now,
-                               node=entry[_CH_PARENT].path,
-                               v=float(entry[_CH_STATE][_VT]))
+                self._bus.emit(obs.VTIME_ADVANCE_SHAPE, now,
+                               entry[_CH_PARENT].path,
+                               float(entry[_CH_STATE][_VT]))
         thread = leaf.scheduler.pick_next(now)
         if thread is None:
             raise SchedulingError(
@@ -153,13 +153,13 @@ class HierarchicalScheduler(TopScheduler):
         if self._bus.active:
             for entry in chain:
                 slot = entry[_CH_SLOT]
-                self._bus.emit(obs.TAG_UPDATE, now,
-                               node=entry[_CH_ENTITY].path,
-                               start=float(entry[_CH_START][slot]),
-                               finish=float(entry[_CH_FIN][slot]), work=work)
-                self._bus.emit(obs.VTIME_ADVANCE, now,
-                               node=entry[_CH_PARENT].path,
-                               v=float(entry[_CH_STATE][_VT]))
+                self._bus.emit(obs.TAG_UPDATE_SHAPE, now,
+                               entry[_CH_ENTITY].path,
+                               float(entry[_CH_START][slot]),
+                               float(entry[_CH_FIN][slot]), work)
+                self._bus.emit(obs.VTIME_ADVANCE_SHAPE, now,
+                               entry[_CH_PARENT].path,
+                               float(entry[_CH_STATE][_VT]))
 
     def _chain_for(self, leaf: LeafNode) -> list:
         """The cached ancestor chain of ``leaf``, rebuilt on tree changes."""
@@ -214,9 +214,9 @@ class HierarchicalScheduler(TopScheduler):
         now = self.clock()
         for entry in chain[:walked]:
             slot = entry[_CH_SLOT]
-            self._bus.emit(obs.TAG_UPDATE, now, node=entry[_CH_ENTITY].path,
-                           start=float(entry[_CH_START][slot]),
-                           finish=float(entry[_CH_FIN][slot]), work=0)
+            self._bus.emit(obs.TAG_UPDATE_SHAPE, now, entry[_CH_ENTITY].path,
+                           float(entry[_CH_START][slot]),
+                           float(entry[_CH_FIN][slot]), 0)
 
     def sleep(self, leaf: LeafNode) -> None:
         """Mark ``leaf`` idle and propagate up while ancestors become idle."""

@@ -155,8 +155,8 @@ class MachineBase:
         thread.stats.created_at = now
         self.scheduler.admit(thread)
         if self._bus.active:
-            self._bus.emit(obs.SPAWN, now, tid=thread.tid, name=thread.name,
-                           node=_leaf_path(thread), weight=thread.weight)
+            self._bus.emit(obs.SPAWN_SHAPE, now, thread.tid, thread.name,
+                           _leaf_path(thread), thread.weight)
         self._settle(thread)
 
     def _settle(self, thread: SimThread) -> None:
@@ -235,23 +235,23 @@ class MachineBase:
         """Trace a block on a mutex, semaphore or wait queue (no wake time:
         a release or notify wakes it)."""
         if self._bus.active:
-            self._bus.emit(obs.BLOCK, now, tid=thread.tid,
-                           node=_leaf_path(thread), wake=-1)
+            self._bus.emit(obs.BLOCK_SHAPE, now, thread.tid,
+                           _leaf_path(thread), -1)
 
     def _retire(self, thread: SimThread, now: int) -> None:
         """Release what an EXITED thread still holds and retire it."""
         self._release_held_mutexes(thread)
         if self._bus.active:
-            self._bus.emit(obs.EXIT, now, tid=thread.tid,
-                           node=_leaf_path(thread))
+            self._bus.emit(obs.EXIT_SHAPE, now, thread.tid,
+                           _leaf_path(thread))
         self.scheduler.retire(thread, now)
 
     # --- sleep / wakeup ----------------------------------------------------
 
     def _schedule_wakeup(self, thread: SimThread, wake_time: int) -> None:
         if self._bus.active:
-            self._bus.emit(obs.BLOCK, self.engine.now, tid=thread.tid,
-                           node=_leaf_path(thread), wake=wake_time)
+            self._bus.emit(obs.BLOCK_SHAPE, self.engine.now, thread.tid,
+                           _leaf_path(thread), wake_time)
         if self._turbo_wake is not None:
             thread.wakeup_handle = self.engine.at(
                 wake_time, self._turbo_wake, (self, thread),
@@ -265,8 +265,8 @@ class MachineBase:
         thread.wakeup_handle = None
         thread.stats.wakeups += 1
         if self._bus.active:
-            self._bus.emit(obs.WAKE, self.engine.now, tid=thread.tid,
-                           node=_leaf_path(thread))
+            self._bus.emit(obs.WAKE_SHAPE, self.engine.now, thread.tid,
+                           _leaf_path(thread))
         if thread.remaining_work > 0:
             # Woke with unfinished compute (blocked mid-segment cannot
             # happen today, but a moved/suspended thread resumes here).
@@ -408,8 +408,8 @@ class Machine(MachineBase):
         thread.transition(ThreadState.RUNNABLE)
         thread.last_runnable_at = now
         if self._bus.active:
-            self._bus.emit(obs.RUNNABLE, now, tid=thread.tid,
-                           node=_leaf_path(thread))
+            self._bus.emit(obs.RUNNABLE_SHAPE, now, thread.tid,
+                           _leaf_path(thread))
         self.scheduler.thread_runnable(thread, now)
         if (self.current is not None
                 and now > self._paused_until
@@ -464,11 +464,10 @@ class Machine(MachineBase):
                 % (quantum_ns, self.capacity_ips))
         self._quantum_work_done = 0
         if self._bus.active:
-            self._bus.emit(obs.DISPATCH, now, tid=thread.tid,
-                           name=thread.name, node=_leaf_path(thread), cpu=0,
-                           depth=self.scheduler.decision_depth,
-                           switched=switched, overhead_ns=overhead,
-                           quantum_work=self._quantum_work_left)
+            self._bus.emit(obs.DISPATCH_SHAPE, now, thread.tid, thread.name,
+                           _leaf_path(thread), 0,
+                           self.scheduler.decision_depth, switched, overhead,
+                           self._quantum_work_left)
         self._begin_burst(overhead)
 
     def _defer_dispatch(self, at_time: int) -> None:
@@ -520,9 +519,9 @@ class Machine(MachineBase):
         thread.stats.cpu_time += elapsed
         self.stats.busy_time += elapsed
         if self._bus.active:
-            self._bus.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
-                           node=_leaf_path(thread), cpu=0,
-                           start=self._burst_compute_start, work=executed)
+            self._bus.emit(obs.SLICE_SHAPE, now, thread.tid, thread.name,
+                           _leaf_path(thread), 0, self._burst_compute_start,
+                           executed)
 
     def _on_burst_complete(self) -> None:
         self._burst_handle = None
@@ -559,8 +558,8 @@ class Machine(MachineBase):
         self.stats.preemptions += 1
         self.current.stats.preemptions += 1
         if self._bus.active:
-            self._bus.emit(obs.PREEMPT, self.engine.now, tid=self.current.tid,
-                           node=_leaf_path(self.current))
+            self._bus.emit(obs.PREEMPT_SHAPE, self.engine.now,
+                           self.current.tid, _leaf_path(self.current))
         self._stop_burst()
         unspent = self._burst_compute_start - self.engine.now
         if unspent > 0:
@@ -600,10 +599,9 @@ class Machine(MachineBase):
         if self._quantum_work_done > 0:
             self.scheduler.charge(thread, self._quantum_work_done, now)
             if self._bus.active:
-                self._bus.emit(obs.CHARGE, now, tid=thread.tid,
-                               node=_leaf_path(thread),
-                               work=self._quantum_work_done,
-                               segment_done=segment_done)
+                self._bus.emit(obs.CHARGE_SHAPE, now, thread.tid,
+                               _leaf_path(thread), self._quantum_work_done,
+                               segment_done)
         self._quantum_work_done = 0
         self._quantum_work_left = 0
 
@@ -640,7 +638,7 @@ class Machine(MachineBase):
         busy_until = max(now, self._intr_busy_until) + service
         self._intr_busy_until = busy_until
         if self._bus.active:
-            self._bus.emit(obs.INTERRUPT, now, cpu=0, service=service)
+            self._bus.emit(obs.INTERRUPT_SHAPE, now, 0, service)
         current = self.current
         if current is None:
             return

@@ -298,4 +298,5 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.entry import run_main
+    run_main(main)

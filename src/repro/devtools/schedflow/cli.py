@@ -138,4 +138,5 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    from repro.entry import run_main
+    run_main(main)

@@ -17,7 +17,9 @@ statically:
   what :class:`MhpRelation` (may-happen-in-parallel) records.
 * **Emit context.**  Callables registered on an observability event bus
   (``BUS.subscribe``/``BUS.subscription``) plus their callees: code that
-  runs synchronously inside the simulator's emit sites.
+  runs synchronously inside the simulator's emit sites.  A subscribed
+  object is rooted at its ``__call__`` and at its ``capture`` method,
+  the one the bus hands a capture consumer each record through.
 
 Rules:
 
@@ -108,6 +110,9 @@ _MUTATORS = frozenset([
     "popitem", "clear", "remove", "discard", "appendleft", "extendleft",
     "sort", "reverse",
 ])
+
+#: the methods the bus calls on a subscribed object (SF405 roots)
+_SUBSCRIBER_METHODS = ("__call__", "capture")
 
 #: host environment reads (SF406); the taint pass shares this notion
 _ENV_ATTRS = frozenset(["os.environ", "os.environb"])
@@ -402,19 +407,26 @@ class ParallelPass:
                           and dotted.split(".")[-1].lower() == "bus")
                 if not is_bus:
                     continue
-                target = self._resolve_callable(node.args[0], info)
-                if target is None and isinstance(node.args[0], ast.Name):
+                targets: List[Optional[FunctionInfo]] = [
+                    self._resolve_callable(node.args[0], info)]
+                if targets[0] is None and isinstance(node.args[0], ast.Name):
                     dotted_cls = instance_classes.get(node.args[0].id)
                     if dotted_cls is not None:
-                        if "." in dotted_cls:
-                            target = self.index.resolve_ref_dotted(
-                                dotted_cls + ".__call__")
-                        elif info.entry.module is not None:
-                            target = self.index.methods.get(
-                                (info.entry.module, dotted_cls, "__call__"))
-                if target is not None and target.qname not in roots:
-                    roots[target.qname] = (target, node.lineno)
+                        targets = [self._method_of(dotted_cls, method, info)
+                                   for method in _SUBSCRIBER_METHODS]
+                for target in targets:
+                    if target is not None and target.qname not in roots:
+                        roots[target.qname] = (target, node.lineno)
         return roots
+
+    def _method_of(self, dotted_cls: str, method: str,
+                   info: FunctionInfo) -> Optional[FunctionInfo]:
+        """``dotted_cls.method``, the class named as ``info`` names it."""
+        if "." in dotted_cls:
+            return self.index.resolve_ref_dotted(dotted_cls + "." + method)
+        if info.entry.module is None:
+            return None
+        return self.index.methods.get((info.entry.module, dotted_cls, method))
 
     def _local_instances(self, info: FunctionInfo) -> Dict[str, str]:
         """Local name -> dotted class path for ``name = Ctor(...)``."""
@@ -660,18 +672,20 @@ class ParallelPass:
         entry = info.entry
         own = self._mutable_globals(entry)
         imported = self._imported_mutable_globals(entry)
-        event_param: Optional[str] = None
+        event_params: List[str] = []
         if direct:
             params = info.params[1:] if info.is_method else info.params
-            if params:
-                event_param = params[0]
+            # a capture consumer observes its whole record (shape, time,
+            # values); any other subscriber, its one event
+            event_params = (params if info.name == "capture"
+                            else params[:1])
 
         def flag_store(node: ast.AST, target: ast.AST) -> bool:
             root_name = _store_root(target) if isinstance(
                 target, (ast.Subscript, ast.Attribute)) else None
             if root_name is None:
                 return False
-            if event_param is not None and root_name.id == event_param:
+            if root_name.id in event_params:
                 self._report(
                     findings, info, node, "SF405",
                     "subscriber %r mutates the event it observes; "

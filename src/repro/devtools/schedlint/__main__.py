@@ -1,8 +1,7 @@
 """Entry point for ``python -m repro.devtools.schedlint``."""
 
-import sys
-
 from repro.devtools.schedlint.cli import main
+from repro.entry import run_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -177,8 +177,7 @@ class SchedsanScheduler(TopScheduler):
         time = self._clock() if now is None else now
         violation = Violation(rule, path, time, message)
         if self._bus.active:
-            self._bus.emit(obs.VIOLATION, time, rule=rule, node=path,
-                           message=message)
+            self._bus.emit(obs.VIOLATION_SHAPE, time, rule, path, message)
         if len(self.violations) < MAX_COLLECTED:
             self.violations.append(violation)
         if self._mode == "raise":

@@ -108,4 +108,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from repro.entry import run_main
+    run_main(main)

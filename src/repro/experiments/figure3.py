@@ -95,4 +95,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    from repro.entry import run_main
+    run_main(main)

@@ -1,8 +1,7 @@
 """Entry point for ``python -m repro.faultlab``."""
 
-import sys
-
+from repro.entry import run_main
 from repro.faultlab.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

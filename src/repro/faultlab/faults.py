@@ -87,8 +87,10 @@ class FaultContext:
         self.log.append(entry)
         bus = self.engine.bus
         if bus.active:
-            bus.emit(obs.FAULT_INJECT, self.engine.now, fault=fault,
-                     action=action, **fields)
+            # each injector adds its own fields, so the shape is per call
+            shape = obs.Shape(obs.FAULT_INJECT,
+                              ("fault", "action") + tuple(fields))
+            bus.emit(shape, self.engine.now, fault, action, *fields.values())
 
     def alive_threads(self) -> List["SimThread"]:
         """Threads not yet exited, in deterministic name order.

@@ -104,8 +104,8 @@ def hsfq_mknod(structure: SchedulingStructure, name: str, parent: int,
     node = structure.mknod(name, weight, parent=parent, scheduler=scheduler)
     bus = _obs_bus(structure)
     if bus.active:
-        bus.emit(obs.NODE_CREATE, _obs_now(structure), node=node.path,
-                 weight=weight, leaf=flag == HSFQ_LEAF, sid=sid)
+        bus.emit(obs.NODE_CREATE_SHAPE, _obs_now(structure), node.path,
+                 weight, flag == HSFQ_LEAF, sid)
     return node.node_id
 
 
@@ -123,7 +123,7 @@ def hsfq_rmnod(structure: SchedulingStructure, node_id: int,
     structure.rmnod(node_id)
     bus = _obs_bus(structure)
     if bus.active:
-        bus.emit(obs.NODE_REMOVE, _obs_now(structure), node=path)
+        bus.emit(obs.NODE_REMOVE_SHAPE, _obs_now(structure), path)
 
 
 def hsfq_move(structure: SchedulingStructure, thread: "SimThread",
@@ -133,9 +133,9 @@ def hsfq_move(structure: SchedulingStructure, thread: "SimThread",
     structure.move(thread, to)
     bus = _obs_bus(structure)
     if bus.active:
-        bus.emit(obs.THREAD_MOVE, _obs_now(structure), tid=thread.tid,
-                 name=thread.name, node=structure.resolve(to).path,
-                 source=source.path if source is not None else "")
+        bus.emit(obs.THREAD_MOVE_SHAPE, _obs_now(structure), thread.tid,
+                 thread.name, structure.resolve(to).path,
+                 source.path if source is not None else "")
 
 
 def hsfq_admin(structure: SchedulingStructure, node_id: int, cmd: str,
@@ -148,6 +148,6 @@ def hsfq_admin(structure: SchedulingStructure, node_id: int, cmd: str,
     bus = _obs_bus(structure)
     if cmd == HSFQ_ADMIN_SETWEIGHT and bus.active:
         node = structure.resolve(node_id)
-        bus.emit(obs.WEIGHT_CHANGE, _obs_now(structure), node=node.path,
-                 weight=node.weight, old_weight=old_weight)
+        bus.emit(obs.WEIGHT_CHANGE_SHAPE, _obs_now(structure), node.path,
+                 node.weight, old_weight)
     return result

@@ -1,8 +1,7 @@
 """Entry point for ``python -m repro.obs``."""
 
-import sys
-
+from repro.entry import run_main
 from repro.obs.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run_main(main)

@@ -4,7 +4,8 @@ The in-memory collectors (:class:`~repro.obs.chrometrace.ChromeTraceBuilder`,
 :class:`~repro.obs.schedstat.SchedStat`) are fine for demos but cost ~2.6x
 a traced-off run and hold the whole trace in Python objects.  This module
 is the production capture path: :class:`BinaryTraceWriter` subscribes to
-the bus like any collector and streams each event to disk in a compact
+the bus as a capture consumer, taking each record as it was emitted
+(shape, time, positional values), and streams it to disk in a compact
 pure-stdlib binary format; :class:`BinaryTraceReader` replays the file as
 the exact :class:`~repro.obs.events.Event` sequence that was captured, so
 every existing consumer can be fed offline::
@@ -24,14 +25,16 @@ Format (``repro.binlog/1``; full record layout in docs/OBSERVABILITY.md):
   record on first use, a small integer id afterwards;
 * **delta timestamps** — events store the signed delta from the previous
   event's timestamp, not the absolute time;
-* **schema records** — emit sites pass a stable field tuple per event
-  kind, so the writer defines a *schema* (kind, field names, field types)
-  the first time a shape appears and thereafter encodes the whole event
-  as one ``struct``-packed slab through a schema-specialized encoder —
-  the hot path that keeps capture cheap enough to leave on.  Events that
-  do not fit their schema (new shape, drifted type, out-of-range int)
-  fall back to a self-describing generic record, so *any* event stream
-  round-trips;
+* **schema records** — every emit site passes a declared
+  :class:`~repro.obs.events.Shape`, so the writer defines a *schema*
+  (kind, field names, field types) the first time a shape appears and
+  thereafter encodes the whole event as one ``struct``-packed slab
+  through one generated positional encoder per schema — the hot path
+  that keeps capture cheap enough to leave on.  Only a kind's first
+  schema writes such fast records (a later shape's records are tried
+  against it by field name).  Events that fit no schema (a later shape,
+  drifted type, out-of-range int) fall back to a self-describing
+  generic record, so *any* event stream round-trips;
 * **sealed footer** — event count plus a SHA-256 over every preceding
   byte, so a truncated or corrupted log is rejected on read instead of
   silently under-reporting.
@@ -55,7 +58,7 @@ from typing import (
     Type,
 )
 
-from repro.obs.events import Event
+from repro.obs.events import Event, Shape
 
 #: format identifier: the file magic is this string's first four bytes
 FORMAT = "repro.binlog/1"
@@ -154,107 +157,131 @@ def _type_code(value: Any) -> int:
 #: pack as "q", float as "d", None takes no slot
 _STRUCT_CHAR = ("", "q", "", "q", "d", "q")
 
+#: the ints a slab's "q" field holds
+_INT64 = range(-(1 << 63), 1 << 63)
+
+#: the exact class each schema type code admits, indexed like
+#: _STRUCT_CHAR (None is checked apart)
+_CLASS_OF = (None, bool, None, int, float, str)
+
+#: ``encoder(time, values)``: writes one record, reading exactly its
+#: schema's field count from the ``values`` iterator
+_Encoder = Callable[[int, Iterator[Any]], None]
+
 
 class _Schema:
     """One compiled event shape: (kind, field names, field types).
 
-    ``encode`` is an exec-generated function specialized to the shape: it
-    reads each field by name (a missing key raises straight to the
-    fallback), type-checks it (drift raises :class:`_FastPathMiss`),
-    interns strings, and appends the pre-encoded record head plus one
-    ``struct``-packed slab to the writer's buffer.  Field order is
-    canonicalized to the schema's: a same-keys permutation encodes (and
-    decodes) in schema order, which is invisible to dict equality.
+    ``encode`` is the schema's generated positional encoder (see
+    :func:`_compile_encoder`).  Only a kind's first schema writes fast
+    records; a later schema of the same kind (the fair-queue
+    ``tag-update`` after the hierarchy's, say) is still defined in the
+    log, but its encoder hands every record to
+    :meth:`BinaryTraceWriter._later_shape`.
     """
 
     __slots__ = ("kind", "keys", "types", "encode", "schema_id")
 
     def __init__(self, schema_id: int, kind: str, keys: Tuple[str, ...],
-                 types: Tuple[int, ...],
+                 types: Tuple[int, ...], fast: bool,
                  writer: "BinaryTraceWriter") -> None:
         self.schema_id = schema_id
         self.kind = kind
         self.keys = keys
         self.types = types
-        head = bytes((_REC_FAST,)) + encode_varint(schema_id)
+        head = (bytes((_REC_FAST,)) + encode_varint(schema_id)
+                if fast else None)
         self.encode = _compile_encoder(kind, keys, types, head, writer)
 
 
 def _compile_encoder(kind: str, keys: Tuple[str, ...],
-                     types: Tuple[int, ...], head: bytes,
-                     writer: "BinaryTraceWriter") -> Callable[..., None]:
-    """Generate the specialized ``encoder(time, data)`` for one schema.
+                     types: Tuple[int, ...], head: Optional[bytes],
+                     writer: "BinaryTraceWriter") -> _Encoder:
+    """Generate the positional ``encoder(time, values)`` for one schema.
 
-    The generated function is the whole capture hot path — the bus calls
-    it directly through the writer's ``raw_encoders`` table, with no
-    intermediate frame.  It delta-encodes the timestamp, reads each field
-    by name, type-checks it, interns strings, and appends the record head
-    plus one C-level ``struct``-packed slab in a single buffer append
-    (the head rides along as an ``Ns`` field).  Everything it needs is
-    bound as argument defaults so the body touches no ``self`` (the
-    buffer is cleared in place by ``_flush``, so the binding stays valid
-    for the writer's lifetime).  Any mismatch with the declared shape —
-    missing key, drifted type, out-of-range int — is caught inside and
-    routed to the writer's slow path, which emits a self-describing
-    generic record instead; the writer's timestamp/count state advances
-    only on success, so the fallback re-encodes from untouched state.
+    The generated function is the whole encoding hot path, for every
+    input: streaming capture feeds it an iterator over the emitted
+    values, the deferred seal the pending list's own iterator, and Event
+    input the data dict's values.  It first reads exactly one value per
+    field, so the caller's iterator stays aligned whatever happens next.
+    It then delta-encodes the timestamp, type-checks each value, interns
+    strings, and appends the record head plus one C-level
+    ``struct``-packed slab in a single buffer append (the head rides
+    along as an ``Ns`` field).  Everything it needs is bound as argument
+    defaults so the body touches no ``self`` (the buffer is cleared in
+    place by ``_flush``, so the binding stays valid for the writer's
+    lifetime).  A value that does not fit the declared type — drifted
+    type, out-of-range int — routes the record to the writer's generic
+    path, which writes a self-describing record from the same dict the
+    bus would build; the writer's timestamp/count state advances only on
+    success, so the fallback re-encodes from untouched state.  With no
+    ``head`` (a kind's later schema) every record goes to the writer's
+    later-shape path instead.
     """
-    fmt = "<%dsq" % len(head) + "".join(_STRUCT_CHAR[t] for t in types
-                                        if t != _VAL_NONE)
-    pack = struct.Struct(fmt).pack
-    lines = ["def encode(time, data, pack=pack, head=head, buf=buffer,"
-             " sget=sget, intern=intern, state=state, fallback=fallback,"
-             " flush=flush, _miss=_miss, _errs=_errs, _kind=_kind):",
-             "    delta = time - state[0]",
-             "    try:",
-             "        if len(data) != %d: raise _miss" % len(keys)]
-    packed = []
-    for index, (key, code) in enumerate(zip(keys, types)):
-        value = "v%d" % index
-        lines.append("        %s = data[%r]" % (value, key))
-        if code == _VAL_NONE:
-            lines.append("        if %s is not None: raise _miss" % value)
-            continue
-        packed.append(value)
-        if code == _VAL_STR:
-            lines.append("        if %s.__class__ is not str: raise _miss"
-                         % value)
-            lines.append("        i%d = sget(%s)" % (index, value))
-            lines.append("        if i%d is None: i%d = intern(%s)"
-                         % (index, index, value))
-            packed[-1] = "i%d" % index
-        elif code == _VAL_INT:
-            lines.append("        if %s.__class__ is not int: raise _miss"
-                         % value)
-        elif code == _VAL_BOOL:
-            lines.append("        if %s.__class__ is not bool: raise _miss"
-                         % value)
-        else:  # _VAL_FLOAT
-            lines.append("        if %s.__class__ is not float: raise _miss"
-                         % value)
-    # pack raises struct.error (e.g. an int beyond 64 bits) before the
-    # append, so a rejected event leaves no partial record behind
-    lines += ["        slab = pack(head, delta%s)"
-              % "".join(", " + name for name in packed),
-              "    except _errs:",
-              "        fallback(_kind, time, data)",
-              "        return",
-              "    buf += slab",
-              "    state[0] = time",
-              "    n = state[1] + 1",
-              "    state[1] = n",
-              # The buffer-length check is amortized: schema records are
-              # tens of bytes, so probing every 256th event still bounds
-              # the buffer near _FLUSH_BYTES (the slow path, which can
-              # write big string tables, checks unconditionally).
-              "    if not n & 255 and len(buf) >= %d:" % _FLUSH_BYTES,
-              "        flush()"]
+    names = ["v%d" % index for index in range(len(keys))]
+    data = "{%s}" % ", ".join("%r: %s" % (key, name)
+                              for key, name in zip(keys, names))
+    lines = ["def encode(time, values, nx=next, pack=pack, head=head,"
+             " buf=buffer, sget=sget, intern=intern, state=state,"
+             " generic=generic, later=later, flush=flush, _miss=_miss,"
+             " _errs=_errs, _kind=_kind):"]
+    lines += ["    %s = nx(values)" % name for name in names]
+    pack = None
+    if head is None:
+        lines.append("    later(_kind, time, %s)" % data)
+    else:
+        fmt = "<%dsq" % len(head) + "".join(_STRUCT_CHAR[t] for t in types
+                                            if t != _VAL_NONE)
+        pack = struct.Struct(fmt).pack
+        lines += ["    delta = time - state[0]",
+                  "    try:"]
+        packed = []
+        for index, (name, code) in enumerate(zip(names, types)):
+            if code == _VAL_NONE:
+                lines.append("        if %s is not None: raise _miss" % name)
+                continue
+            packed.append(name)
+            if code == _VAL_STR:
+                lines.append("        if %s.__class__ is not str: raise _miss"
+                             % name)
+                lines.append("        i%d = sget(%s)" % (index, name))
+                lines.append("        if i%d is None: i%d = intern(%s)"
+                             % (index, index, name))
+                packed[-1] = "i%d" % index
+            elif code == _VAL_INT:
+                lines.append("        if %s.__class__ is not int: raise _miss"
+                             % name)
+            elif code == _VAL_BOOL:
+                lines.append("        if %s.__class__ is not bool: raise _miss"
+                             % name)
+            else:  # _VAL_FLOAT
+                lines.append("        if %s.__class__ is not float: "
+                             "raise _miss" % name)
+        # pack raises struct.error (e.g. an int beyond 64 bits) before the
+        # append, so a rejected event leaves no partial record behind
+        lines += ["        slab = pack(head, delta%s)"
+                  % "".join(", " + name for name in packed),
+                  "    except _errs:",
+                  "        generic(_kind, time, %s)" % data,
+                  "        return",
+                  "    buf += slab",
+                  "    state[0] = time",
+                  "    n = state[1] + 1",
+                  "    state[1] = n",
+                  # The buffer-length check is amortized: schema records
+                  # are tens of bytes, so probing every 256th event still
+                  # bounds the buffer near _FLUSH_BYTES (the generic path,
+                  # which can write big string tables, checks
+                  # unconditionally).
+                  "    if not n & 255 and len(buf) >= %d:" % _FLUSH_BYTES,
+                  "        flush()"]
     namespace: Dict[str, Any] = {
         "_miss": _FastPathMiss, "pack": pack, "head": head,
         "buffer": writer._buffer, "sget": writer._strings.get,
         "intern": writer._intern, "state": writer._state,
-        "fallback": writer._slow_path, "flush": writer._flush,
-        "_errs": (_FastPathMiss, KeyError, struct.error), "_kind": kind,
+        "generic": writer._generic_event, "later": writer._later_shape,
+        "flush": writer._flush,
+        "_errs": (_FastPathMiss, struct.error), "_kind": kind,
     }
     exec("\n".join(lines), namespace)  # noqa: S102 - trusted template
     return namespace["encode"]  # type: ignore[no-any-return]
@@ -264,26 +291,32 @@ def _compile_encoder(kind: str, keys: Tuple[str, ...],
 
 
 class BinaryTraceWriter:
-    """Event-bus subscriber streaming events into a sealed binary log.
+    """Event-bus capture consumer streaming records into a sealed log.
 
     Use as a context manager (or call :meth:`close`) so the footer is
     written; an unsealed file is rejected by :class:`BinaryTraceReader`.
     The writer owns the file handle it opened from a path; when handed an
     open binary file object it writes and flushes but never closes it.
 
+    On a bus the writer is a capture consumer: the bus hands it each
+    record as emitted, ``(shape, time, values)``, through :meth:`capture`.
+    Called with an :class:`~repro.obs.events.Event` (replay,
+    :func:`write_events`) it looks the event's ``(kind, fields)`` shape
+    up and captures the same record.
+
     Two capture modes, producing byte-identical sealed files:
 
-    - **streaming** (default): events are encoded as they arrive and the
+    - **streaming** (default): records are encoded as they arrive and the
       buffer is flushed to disk incrementally — memory stays bounded no
       matter how many events the run emits.
-    - **deferred** (``defer=True``): capture only appends the raw kind,
-      time and data of each event to one flat list; encoding and I/O
-      happen at :meth:`close`.  This is the ``perf record`` model — the
-      smallest possible in-run perturbation (~2x cheaper per event than
-      inline encoding) at the cost of holding every captured event in
-      memory (roughly 240 bytes each, none of it GC-tracked) until the
-      log is sealed.  Prefer it for overhead-sensitive measurement runs
-      of bounded length.
+    - **deferred** (``defer=True``): capture only appends each record's
+      shape, time and values to one flat list; encoding and I/O happen
+      at :meth:`close`.  This is the ``perf record`` model — the smallest
+      possible in-run perturbation at the cost of holding every captured
+      record in memory (one list slot per value plus two, about 65 bytes
+      for a 6-field ``slice``, none of it GC-tracked) until the log is
+      sealed.  Prefer it for overhead-sensitive measurement runs of
+      bounded length.
     """
 
     def __init__(self, path_or_file: Any, defer: bool = False) -> None:
@@ -297,29 +330,25 @@ class BinaryTraceWriter:
         self._buffer.append(VERSION)
         self._hash = hashlib.sha256()
         self._strings: Dict[str, int] = {}
-        #: per-kind encoder of the first schema seen for that kind — the
-        #: hot dispatch table.  The bus reads this (as ``raw_encoders``)
-        #: and calls encoders directly; the dict object must therefore
-        #: stay the same for the writer's lifetime (it is only ever
-        #: mutated in place).
-        self._hot: Dict[str, Callable[[int, Dict[str, Any]], None]] = {}
         #: ``defer=True`` is the perf-record model: capture appends each
-        #: event's kind, time and data as three consecutive entries here
-        #: and all encoding happens at :meth:`close`, trading bounded
-        #: memory for the smallest possible in-run perturbation.  Flat, so
-        #: capture keeps no GC-tracked object per event: the data dicts
-        #: hold only atomic values, which CPython leaves untracked, but a
-        #: tuple holding a dict stays tracked and the cyclic collector
-        #: would rescan every one.  The sealed file is byte-for-byte
-        #: identical to streaming mode.  None in streaming mode.
+        #: record's shape, time and values as consecutive entries here and
+        #: all encoding happens at :meth:`close`, trading bounded memory
+        #: for the smallest possible in-run perturbation.  Flat, so
+        #: capture keeps no per-event container at all: the values are
+        #: atomic, which CPython leaves untracked, and the shapes are
+        #: shared, so the cyclic collector has nothing new to rescan.  The
+        #: sealed file is byte-for-byte identical to streaming mode.  None
+        #: in streaming mode.
         self._pending: Optional[List[Any]] = [] if defer else None
-        #: bus raw-consumer protocol: the live per-kind encoder table.
-        #: Withheld in deferred mode so the bus routes every event through
-        #: :meth:`emit_raw` (the table would encode inline).
-        self.raw_encoders: Optional[Dict[str, Callable[
-            [int, Dict[str, Any]], None]]] = None if defer else self._hot
+        #: shape object -> its schema's encoder, for every shape seen
+        #: (keyed by identity: a lookup hashes no strings)
+        self._encoders: Dict[Shape, _Encoder] = {}
         #: every schema, keyed by exact shape (kind, field-name tuple)
         self._by_shape: Dict[Tuple[str, Tuple[str, ...]], _Schema] = {}
+        #: each kind's first schema, the only one that writes fast records
+        self._first: Dict[str, _Schema] = {}
+        #: the shape an Event input of each (kind, fields) captures as
+        self._event_shapes: Dict[Tuple[str, Tuple[str, ...]], Shape] = {}
         self._schema_count = 0
         #: [previous timestamp, events written] — shared mutable state
         #: the generated encoders update without attribute traffic
@@ -344,61 +373,104 @@ class BinaryTraceWriter:
         self._strings[text] = sid
         return sid
 
-    # --- encoding hot path ------------------------------------------------
+    # --- capture ----------------------------------------------------------
 
-    def emit_raw(self, kind: str, time: int, data: Dict[str, Any]) -> None:
-        """Append one event without an :class:`Event` wrapper.
+    def capture(self, shape: Shape, time: int, values: Tuple[Any, ...]
+                ) -> None:
+        """Bus capture entry point: take one record as it was emitted.
 
-        In streaming mode the bus uses :attr:`raw_encoders` to skip even
-        this frame on schema hits; this entry point covers kinds the
-        table lacks and non-bus callers.  In deferred mode it is the
-        whole hot path: three entries appended to a flat list.
+        Deferred, this is the whole hot path: the shape, the time and
+        each value appended to the flat pending list.  Streaming, the
+        shape's encoder writes the record at once.
         """
         pending = self._pending
         if pending is not None:
-            pending += kind, time, data
+            pending.append(shape)
+            pending.append(time)
+            pending.extend(values)
             return
-        encoder = self._hot.get(kind)
+        encoder = self._encoders.get(shape)
         if encoder is not None:
-            encoder(time, data)
+            encoder(time, iter(values))
         else:
-            self._slow_path(kind, time, data)
+            self._unseen(shape, time, iter(values))
 
     def __call__(self, event: Event) -> None:
-        """Bus subscriber entry point: append one encoded event."""
-        pending = self._pending
-        if pending is not None:
-            pending += event.kind, event.time, event.data
-            return
-        encoder = self._hot.get(event.kind)
-        if encoder is not None:
-            encoder(event.time, event.data)
-        else:
-            self._slow_path(event.kind, event.time, event.data)
+        """Subscriber entry point for :class:`Event` input (replay,
+        :func:`write_events`): captures the event's record."""
+        data = event.data
+        key = (event.kind, tuple(data))
+        shape = self._event_shapes.get(key)
+        if shape is None:
+            shape = self._event_shapes[key] = Shape(*key)
+        self.capture(shape, event.time, tuple(data.values()))
 
-    def _slow_path(self, kind: str, time: int,
-                   data: Dict[str, Any]) -> None:
-        """First sighting of a shape, or an event its schema rejects.
+    def _unseen(self, shape: Shape, time: int, values: Iterator[Any]
+                ) -> None:
+        """A shape object seen for the first time.
 
-        Defines the schema on first sighting (so *future* events of the
-        shape take the fast path) and writes the current event as a
-        self-describing generic record — never recursing back through
-        the freshly compiled encoder.
+        Reads its values first, so a deferred seal's iterator stays
+        aligned even if the record is rejected.  An equal shape built
+        per call (faultlab's) reuses the existing schema and compiles
+        nothing.  A new shape is first tried against its kind's first
+        schema (see :meth:`_fits_first`); if it does not fit, it defines
+        its own schema (so *future* records take its encoder) and this
+        record is written as a generic one — never recursing back
+        through the freshly compiled encoder.
         """
-        state = self._state
-        delta = time - state[0]
-        shape = (kind, tuple(data))
-        if shape not in self._by_shape:
-            # Raises TypeError on an unencodable value before any bytes
-            # are written (the generic record would reject it too).
-            self._define_schema(shape, data)
-        self._generic(kind, data, delta)
-        # state advances only after the event is fully in the buffer, so
-        # a TypeError leaves the delta chain of written records intact
-        state[0] = time
-        state[1] += 1
-        if len(self._buffer) >= _FLUSH_BYTES:
-            self._flush()
+        data = dict(zip(shape.fields, values))
+        key = (shape.kind, shape.fields)
+        schema = self._by_shape.get(key)
+        if schema is not None:
+            schema.encode(time, iter(data.values()))
+            return
+        if self._fits_first(shape.kind, time, data):
+            return
+        # Raises TypeError on an unencodable value before any bytes are
+        # written (the generic record would reject it too).
+        self._encoders[shape] = self._define_schema(key, data).encode
+        self._generic_event(shape.kind, time, data)
+
+    def _later_shape(self, kind: str, time: int,
+                     data: Dict[str, Any]) -> None:
+        """A record of a kind's later schema: written through the kind's
+        first schema if it fits it, else as a generic record."""
+        if not self._fits_first(kind, time, data):
+            self._generic_event(kind, time, data)
+
+    def _fits_first(self, kind: str, time: int,
+                    data: Dict[str, Any]) -> bool:
+        """Write ``data`` as a fast record of ``kind``'s first schema if
+        it has that schema's fields (in any order) and types.
+
+        A record of another shape of the kind is tried against the first
+        schema by field name, in that schema's order, before anything
+        else, and a string value read on the way is interned even when a
+        later field misses: the sealed bytes depend on that order.
+        """
+        first = self._first.get(kind)
+        if first is None or len(data) != len(first.keys):
+            return False
+        strings = self._strings
+        for key, code in zip(first.keys, first.types):
+            if key not in data:
+                return False
+            value = data[key]
+            if code == _VAL_NONE:
+                if value is not None:
+                    return False
+            elif value.__class__ is not _CLASS_OF[code]:
+                return False
+            elif code == _VAL_STR and value not in strings:
+                self._intern(value)
+        values = [data[key] for key in first.keys]
+        # an int the slab cannot hold misses only now, after every string
+        if (time - self._state[0] not in _INT64
+                or any(code == _VAL_INT and value not in _INT64
+                       for code, value in zip(first.types, values))):
+            return False
+        first.encode(time, iter(values))
+        return True
 
     def _define_schema(self, shape: Tuple[str, Tuple[str, ...]],
                        data: Dict[str, Any]) -> _Schema:
@@ -417,7 +489,9 @@ class BinaryTraceWriter:
             if key_id is None:
                 key_id = self._intern(key)
             key_ids.append(key_id)
-        schema = _Schema(self._schema_count, kind, keys, types, self)
+        schema = _Schema(self._schema_count, kind, keys, types,
+                         kind not in self._first, self)
+        self._first.setdefault(kind, schema)
         self._schema_count += 1
         buffer = self._buffer
         buffer.append(_REC_SCHEMA)
@@ -427,8 +501,19 @@ class BinaryTraceWriter:
             buffer += encode_varint(key_id)
             buffer.append(code)
         self._by_shape[shape] = schema
-        self._hot.setdefault(kind, schema.encode)
         return schema
+
+    def _generic_event(self, kind: str, time: int,
+                       data: Dict[str, Any]) -> None:
+        """Write one record as a generic one and count it."""
+        state = self._state
+        self._generic(kind, data, time - state[0])
+        # state advances only after the event is fully in the buffer, so
+        # a TypeError leaves the delta chain of written records intact
+        state[0] = time
+        state[1] += 1
+        if len(self._buffer) >= _FLUSH_BYTES:
+            self._flush()
 
     def _generic(self, kind: str, data: Dict[str, Any], delta: int) -> None:
         """Self-describing record for events that fit no schema."""
@@ -478,11 +563,11 @@ class BinaryTraceWriter:
         del self._buffer[:]
 
     def close(self) -> None:
-        """Seal the log: encode any deferred events, flush, write the
+        """Seal the log: encode any deferred records, flush, write the
         footer, and release the file.
 
-        A deferred event that cannot be encoded is left out, just as
-        streaming mode rejects it at capture: every other event is still
+        A deferred record that cannot be encoded is left out, just as
+        streaming mode rejects it at capture: every other record is still
         sealed and an owned file released, then the first such
         :class:`TypeError` is raised.  Calls after the first do nothing.
         """
@@ -494,20 +579,22 @@ class BinaryTraceWriter:
             pending = self._pending
             if pending is not None:
                 # Deferred capture: run the whole encoding pipeline now,
-                # in capture order, through the same schema machinery
-                # streaming mode uses — the sealed bytes come out
-                # identical.
+                # in capture order, through the same encoders streaming
+                # mode uses — the sealed bytes come out identical.  Each
+                # encoder reads its record's values straight off the
+                # list's iterator.
                 self._pending = None
-                hot_get = self._hot.get
-                slow_path = self._slow_path
+                encoders_get = self._encoders.get
+                unseen = self._unseen
                 entries = iter(pending)
-                for kind, time, data in zip(entries, entries, entries):
+                for shape in entries:
+                    time = next(entries)
                     try:
-                        encoder = hot_get(kind)
+                        encoder = encoders_get(shape)
                         if encoder is not None:
-                            encoder(time, data)
+                            encoder(time, entries)
                         else:
-                            slow_path(kind, time, data)
+                            unseen(shape, time, entries)
                     except TypeError as exc:
                         if error is None:
                             error = exc

@@ -6,13 +6,20 @@ layer, the fair-queuing baselines, SCHEDSAN and faultlab, but every site
 is guarded by :attr:`EventBus.active`::
 
     if self._bus.active:
-        self._bus.emit(DISPATCH, now, tid=thread.tid, node=leaf.path, ...)
+        self._bus.emit(DISPATCH_SHAPE, now, thread.tid, thread.name, ...)
 
-With no subscriber attached the guard is a single attribute read and no
-event object (or keyword dict) is ever constructed, so traced-off runs are
-byte-identical to an un-instrumented build.  Subscribers are plain
-callables invoked synchronously, in subscription order, with one
-:class:`Event`; they must observe, never mutate, simulation state.
+Every record a site emits has a :class:`Shape`, declared once below: the
+event kind plus its field names, in order.  Sites pass the field values
+positionally, so with no subscriber attached the guard is a single
+attribute read and nothing is built, and traced-off runs are
+byte-identical to an un-instrumented build.
+
+Subscribers are invoked synchronously, in subscription order.  One with
+a ``capture(shape, time, values)`` method (the binlog writer, the
+:class:`~repro.trace.recorder.Recorder`) is handed the record as it was
+emitted; any other subscriber is a plain callable and gets one shared
+:class:`Event` whose ``data`` maps the shape's fields to the values.
+Either way a subscriber must observe, never mutate, simulation state.
 
 Every site of a run emits on that run's bus, ``Simulator.bus``: the
 machine installs it on its scheduler (which hands it to the leaves that
@@ -27,7 +34,16 @@ and tests that subscribe temporarily should use
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 # --- event kinds (the catalogue; see docs/OBSERVABILITY.md) ------------------
 
@@ -35,29 +51,28 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 SPAWN = "spawn"
 #: thread became eligible to run
 RUNNABLE = "runnable"
-#: thread was given a CPU (fields: tid, node, cpu, depth, switched,
-#: overhead_ns, quantum_work)
+#: thread was given a CPU
 DISPATCH = "dispatch"
-#: a contiguous run of execution finished (fields: tid, node, cpu, start, work)
+#: a contiguous run of execution finished (timestamp = slice end)
 SLICE = "slice"
 #: the running thread was preempted mid-quantum
 PREEMPT = "preempt"
-#: thread blocked (fields: tid, node, wake; wake == -1 means a sync wait)
+#: thread blocked (wake == -1 means a sync wait)
 BLOCK = "block"
 #: thread woke up
 WAKE = "wake"
-#: a completed quantum was charged to the scheduler (fields: tid, node, work)
+#: a completed quantum was charged to the scheduler
 CHARGE = "charge"
 #: thread exited
 EXIT = "exit"
-#: an interrupt stole CPU time (fields: cpu, service)
+#: an interrupt stole CPU time
 INTERRUPT = "interrupt"
-#: an SFQ (or fair-queuing) start/finish tag was restamped
-#: (fields: node, start, finish, weight; tags as floats, for reporting only)
+#: an SFQ (or fair-queuing) start/finish tag was restamped (tags as
+#: floats, for reporting only)
 TAG_UPDATE = "tag-update"
-#: a queue's virtual time moved forward (fields: node, v)
+#: a queue's virtual time moved forward
 VTIME_ADVANCE = "vtime-advance"
-#: SCHEDSAN detected an invariant violation (fields: rule, node, message)
+#: SCHEDSAN detected an invariant violation
 VIOLATION = "sanitizer-violation"
 #: a scheduling-structure node was created (hsfq_mknod)
 NODE_CREATE = "node-create"
@@ -77,7 +92,65 @@ KINDS = (
     NODE_REMOVE, THREAD_MOVE, WEIGHT_CHANGE, FAULT_INJECT,
 )
 
+
+class Shape:
+    """One record shape: an event kind and its field names, in order.
+
+    Emit sites pass a shape and the field values positionally; the bus
+    and the capture consumers key on the shape object itself (by identity,
+    so a lookup hashes no strings).  The catalogue's shapes are declared
+    once, below; a site whose fields vary may build a shape per call.
+    """
+
+    __slots__ = ("kind", "fields")
+
+    def __init__(self, kind: str, fields: Sequence[str]) -> None:
+        self.kind = kind
+        self.fields: Tuple[str, ...] = tuple(fields)
+
+    def __repr__(self) -> str:
+        return "Shape(%r, %r)" % (self.kind, self.fields)
+
+
+# --- record shapes (the catalogue; see docs/OBSERVABILITY.md) ----------------
+
+SPAWN_SHAPE = Shape(SPAWN, ("tid", "name", "node", "weight"))
+RUNNABLE_SHAPE = Shape(RUNNABLE, ("tid", "node"))
+DISPATCH_SHAPE = Shape(DISPATCH, ("tid", "name", "node", "cpu", "depth",
+                                  "switched", "overhead_ns", "quantum_work"))
+SLICE_SHAPE = Shape(SLICE, ("tid", "name", "node", "cpu", "start", "work"))
+PREEMPT_SHAPE = Shape(PREEMPT, ("tid", "node"))
+BLOCK_SHAPE = Shape(BLOCK, ("tid", "node", "wake"))
+WAKE_SHAPE = Shape(WAKE, ("tid", "node"))
+#: ``segment_done``: the dispatch finished a workload segment
+CHARGE_SHAPE = Shape(CHARGE, ("tid", "node", "work", "segment_done"))
+EXIT_SHAPE = Shape(EXIT, ("tid", "node"))
+INTERRUPT_SHAPE = Shape(INTERRUPT, ("cpu", "service"))
+#: the hierarchy's tag restamp
+TAG_UPDATE_SHAPE = Shape(TAG_UPDATE, ("node", "start", "finish", "work"))
+#: the fair-queue baselines' tag restamp, which names the thread
+FQ_TAG_UPDATE_SHAPE = Shape(TAG_UPDATE, ("node", "tid", "start", "finish",
+                                         "work"))
+VTIME_ADVANCE_SHAPE = Shape(VTIME_ADVANCE, ("node", "v"))
+VIOLATION_SHAPE = Shape(VIOLATION, ("rule", "node", "message"))
+NODE_CREATE_SHAPE = Shape(NODE_CREATE, ("node", "weight", "leaf", "sid"))
+NODE_REMOVE_SHAPE = Shape(NODE_REMOVE, ("node",))
+THREAD_MOVE_SHAPE = Shape(THREAD_MOVE, ("tid", "name", "node", "source"))
+WEIGHT_CHANGE_SHAPE = Shape(WEIGHT_CHANGE, ("node", "weight", "old_weight"))
+
+#: every declared shape (faultlab builds its ``fault-inject`` shapes per
+#: call, since each injector adds its own fields)
+SHAPES = (
+    SPAWN_SHAPE, RUNNABLE_SHAPE, DISPATCH_SHAPE, SLICE_SHAPE, PREEMPT_SHAPE,
+    BLOCK_SHAPE, WAKE_SHAPE, CHARGE_SHAPE, EXIT_SHAPE, INTERRUPT_SHAPE,
+    TAG_UPDATE_SHAPE, FQ_TAG_UPDATE_SHAPE, VTIME_ADVANCE_SHAPE,
+    VIOLATION_SHAPE, NODE_CREATE_SHAPE, NODE_REMOVE_SHAPE, THREAD_MOVE_SHAPE,
+    WEIGHT_CHANGE_SHAPE,
+)
+
 Subscriber = Callable[["Event"], None]
+#: a capture consumer's ``capture(shape, time, values)`` method
+Capture = Callable[[Shape, int, Tuple[Any, ...]], None]
 
 #: bound allocator used by the emit hot path (see :meth:`EventBus.emit`)
 _new_event = object.__new__
@@ -107,7 +180,7 @@ class Event:
 
 
 class EventBus:
-    """A low-overhead synchronous pub/sub bus for :class:`Event` objects.
+    """A low-overhead synchronous pub/sub bus for shaped records.
 
     Subscribers are invoked in subscription order; the order — and
     everything else about the bus — is deterministic.  Subscriber
@@ -115,7 +188,7 @@ class EventBus:
     and must not silently swallow errors.
     """
 
-    __slots__ = ("_subscribers", "active", "_raw", "_raw_table")
+    __slots__ = ("_subscribers", "active", "_routes", "_capture")
 
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
@@ -125,37 +198,27 @@ class EventBus:
         #: the disabled cost must be a single attribute load — no descriptor
         #: call, no list truth test.  Never assign it from outside the bus.
         self.active: bool = False
-        #: Raw-consumer fast path: when the *only* subscriber exposes an
-        #: ``emit_raw(kind, time, data)`` method (the binlog writer does),
-        #: emit hands it the fields directly and never allocates an Event.
-        #: If it additionally exposes ``raw_encoders`` — a live dict
-        #: mapping event kind to an ``encoder(time, data)`` callable —
-        #: emit dispatches per kind with no intermediate frame at all,
-        #: falling back to ``emit_raw`` for kinds the dict lacks.  Both
-        #: are kept in sync by subscribe/unsubscribe/clear, like
-        #: ``active``.
-        self._raw: Optional[Callable[[str, int, Dict[str, Any]], None]] = None
-        self._raw_table: Optional[Dict[str, Callable[[int, Dict[str, Any]],
-                                                     None]]] = None
+        #: each subscriber with its ``capture`` method (None for a plain
+        #: callable), in subscription order; rebuilt on every change
+        self._routes: List[Tuple[Subscriber, Optional[Capture]]] = []
+        #: the sole subscriber's ``capture`` method, if it has one: emit
+        #: then calls it with no loop at all (the ``tracer=`` and binlog
+        #: cases)
+        self._capture: Optional[Capture] = None
 
-    def _refresh_raw(self) -> None:
-        subscribers = self._subscribers
-        if len(subscribers) == 1:
-            only = subscribers[0]
-            self._raw = getattr(only, "emit_raw", None)
-            self._raw_table = (getattr(only, "raw_encoders", None)
-                               if self._raw is not None else None)
-        else:
-            self._raw = None
-            self._raw_table = None
+    def _refresh(self) -> None:
+        routes = [(subscriber, getattr(subscriber, "capture", None))
+                  for subscriber in self._subscribers]
+        self._routes = routes
+        self._capture = routes[0][1] if len(routes) == 1 else None
+        self.active = bool(routes)
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         """Attach ``subscriber`` (a callable taking one event); returns it."""
         if not callable(subscriber):
             raise TypeError("subscriber must be callable, got %r" % (subscriber,))
         self._subscribers.append(subscriber)
-        self.active = True
-        self._refresh_raw()
+        self._refresh()
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
@@ -164,8 +227,7 @@ class EventBus:
             self._subscribers.remove(subscriber)
         except ValueError:
             pass
-        self.active = bool(self._subscribers)
-        self._refresh_raw()
+        self._refresh()
 
     @contextlib.contextmanager
     def subscription(self, subscriber: Subscriber) -> Iterator[Subscriber]:
@@ -185,9 +247,7 @@ class EventBus:
     def clear(self) -> None:
         """Detach every subscriber (end-of-session cleanup)."""
         del self._subscribers[:]
-        self.active = False
-        self._raw = None
-        self._raw_table = None
+        self._refresh()
 
     def subscriber_count(self) -> int:
         """How many subscribers are attached.
@@ -197,36 +257,33 @@ class EventBus:
         """
         return len(self._subscribers)
 
-    def emit(self, kind: str, time: int, **data: Any) -> None:
-        """Deliver ``Event(kind, time, data)`` to every subscriber.
+    def emit(self, shape: Shape, time: int, *values: Any) -> None:
+        """Deliver one record of ``shape`` at ``time`` to every subscriber.
 
-        A no-op when no subscriber is attached — but note the keyword dict
-        has already been built by the call itself, which is why hot paths
-        guard with :attr:`active` instead of calling unconditionally.
+        ``values`` are the shape's fields, positionally and in order.  A
+        subscriber with a ``capture`` method is handed
+        ``(shape, time, values)`` as they are; the others share one
+        ``Event(shape.kind, time, data)``, built only if one of them is
+        attached, whose ``data`` maps each field to its value.  Hot paths
+        still guard with :attr:`active`: the call itself packs ``values``.
         """
-        table = self._raw_table
-        if table is not None:
-            encoder = table.get(kind)
-            if encoder is not None:
-                encoder(time, data)
-            else:
-                self._raw(kind, time, data)  # type: ignore[misc]
+        capture = self._capture
+        if capture is not None:
+            capture(shape, time, values)
             return
-        raw = self._raw
-        if raw is not None:
-            raw(kind, time, data)
-            return
-        subscribers = self._subscribers
-        if not subscribers:
-            return
-        # Per-dispatch path: build the Event without the __init__ call.
-        # Each emit site pays for this, so a plain constructor's extra
-        # frame is measurable (~4x) at the bench_obs_overhead event rate.
-        event: Event = _new_event(Event)
-        event.kind = kind
-        event.time = time
-        event.data = data
-        for subscriber in subscribers:
+        event: Optional[Event] = None
+        for subscriber, capture in self._routes:
+            if capture is not None:
+                capture(shape, time, values)
+                continue
+            if event is None:
+                # Build the Event without the __init__ call: a plain
+                # constructor's extra frame is measurable at the
+                # bench_obs_overhead event rate.
+                event = _new_event(Event)
+                event.kind = shape.kind
+                event.time = time
+                event.data = dict(zip(shape.fields, values))
             subscriber(event)
 
 

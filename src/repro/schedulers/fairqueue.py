@@ -131,9 +131,9 @@ class _FairQueueBase(LeafScheduler):
         self._weight_sum += weight
         record.counted_weight = weight
         if self._bus.active:
-            self._bus.emit(obs.TAG_UPDATE, now, node="fq:" + self.algorithm,
-                           tid=thread.tid, start=record.start,
-                           finish=record.finish, work=0)
+            self._bus.emit(obs.FQ_TAG_UPDATE_SHAPE, now,
+                           "fq:" + self.algorithm, thread.tid, record.start,
+                           record.finish, 0)
 
     def on_block(self, thread: "SimThread", now: int) -> None:
         record = self._record(thread)
@@ -170,10 +170,9 @@ class _FairQueueBase(LeafScheduler):
             record.finish = record.start + self.assumed_quantum_work / weight
             self._push(record)
             if self._bus.active:
-                self._bus.emit(obs.TAG_UPDATE, now,
-                               node="fq:" + self.algorithm, tid=thread.tid,
-                               start=record.start, finish=record.finish,
-                               work=work)
+                self._bus.emit(obs.FQ_TAG_UPDATE_SHAPE, now,
+                               "fq:" + self.algorithm, thread.tid,
+                               record.start, record.finish, work)
 
     def has_runnable(self) -> bool:
         return self._runnable > 0
@@ -239,8 +238,8 @@ class _RateClockMixin:
             elapsed = now - self._v_updated
             self._v += (elapsed * self.capacity_ips) / (SECOND * weight_sum)
             if self._bus.active:
-                self._bus.emit(obs.VTIME_ADVANCE, now,
-                               node="fq:" + self.algorithm, v=self._v)
+                self._bus.emit(obs.VTIME_ADVANCE_SHAPE, now,
+                               "fq:" + self.algorithm, self._v)
         self._v_updated = now
 
 

@@ -109,8 +109,8 @@ class SmpMachine(MachineBase):
         thread.transition(ThreadState.RUNNABLE)
         thread.last_runnable_at = now
         if self._bus.active:
-            self._bus.emit(obs.RUNNABLE, now, tid=thread.tid,
-                           node=_leaf_path(thread))
+            self._bus.emit(obs.RUNNABLE_SHAPE, now, thread.tid,
+                           _leaf_path(thread))
         self.scheduler.thread_runnable(thread, now)
         self._dispatch_idle_cpus()
 
@@ -149,11 +149,10 @@ class SmpMachine(MachineBase):
             raise SimulationError("quantum too small for capacity")
         cpu.quantum_done = 0
         if self._bus.active:
-            self._bus.emit(obs.DISPATCH, now, tid=thread.tid,
-                           name=thread.name, node=_leaf_path(thread),
-                           cpu=cpu.index, depth=self.scheduler.decision_depth,
-                           switched=True, overhead_ns=0,
-                           quantum_work=cpu.quantum_left)
+            self._bus.emit(obs.DISPATCH_SHAPE, now, thread.tid, thread.name,
+                           _leaf_path(thread), cpu.index,
+                           self.scheduler.decision_depth, True, 0,
+                           cpu.quantum_left)
         self._begin_burst(cpu)
 
     def _begin_burst(self, cpu: _Cpu) -> None:
@@ -185,9 +184,9 @@ class SmpMachine(MachineBase):
         thread.stats.cpu_time += elapsed
         self.busy_time += elapsed
         if self._bus.active:
-            self._bus.emit(obs.SLICE, now, tid=thread.tid, name=thread.name,
-                           node=_leaf_path(thread), cpu=cpu.index,
-                           start=cpu.burst_start, work=executed)
+            self._bus.emit(obs.SLICE_SHAPE, now, thread.tid, thread.name,
+                           _leaf_path(thread), cpu.index, cpu.burst_start,
+                           executed)
 
     def _on_burst_complete(self, cpu: _Cpu) -> None:
         cpu.burst_handle = None
@@ -233,9 +232,9 @@ class SmpMachine(MachineBase):
         if cpu.quantum_done > 0:
             self.scheduler.charge(thread, cpu.quantum_done, now)
             if self._bus.active:
-                self._bus.emit(obs.CHARGE, now, tid=thread.tid,
-                               node=_leaf_path(thread), work=cpu.quantum_done,
-                               segment_done=segment_done)
+                self._bus.emit(obs.CHARGE_SHAPE, now, thread.tid,
+                               _leaf_path(thread), cpu.quantum_done,
+                               segment_done)
         cpu.quantum_done = 0
         cpu.quantum_left = 0
 

@@ -17,6 +17,7 @@ live or replayed from a binlog.  All computation over the trace lives in
 from __future__ import annotations
 
 import bisect
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
@@ -24,9 +25,13 @@ from repro.obs import events as ev
 if TYPE_CHECKING:  # pragma: no cover
     from repro.threads.thread import SimThread
 
-#: the per-thread machine events a recorder folds in
-_THREAD_KINDS = frozenset((ev.SPAWN, ev.RUNNABLE, ev.DISPATCH, ev.SLICE,
-                           ev.CHARGE, ev.BLOCK, ev.WAKE, ev.EXIT))
+#: the machine shapes a recorder folds in
+_FOLDED = frozenset((
+    ev.SPAWN_SHAPE, ev.RUNNABLE_SHAPE, ev.DISPATCH_SHAPE, ev.SLICE_SHAPE,
+    ev.CHARGE_SHAPE, ev.BLOCK_SHAPE, ev.WAKE_SHAPE, ev.EXIT_SHAPE,
+    ev.INTERRUPT_SHAPE))
+#: the same shapes by kind, for events read by field name
+_SHAPE_OF = MappingProxyType({shape.kind: shape for shape in _FOLDED})
 
 
 class ThreadTrace:
@@ -112,9 +117,11 @@ class Recorder:
     """An event-bus subscriber: pass it as ``Machine(tracer=...)``,
     subscribe it to a run's bus, or ``replay(path, recorder)``.
 
-    It is a raw consumer: as the only subscriber of a bus (the usual
-    ``tracer=`` case) it is handed each event's fields directly through
-    :meth:`emit_raw`, and the bus builds no :class:`~repro.obs.events.Event`.
+    It is a capture consumer: the bus hands it each record as emitted
+    through :meth:`capture`, which folds the machine shapes by position
+    and returns at once for every other shape (the hierarchy's tag and
+    virtual-time records, say), so the bus builds no
+    :class:`~repro.obs.events.Event` for it.
     """
 
     def __init__(self) -> None:
@@ -127,39 +134,57 @@ class Recorder:
             self.threads[thread.tid] = ThreadTrace(thread.tid, thread.name)
         return self.threads[thread.tid]
 
-    def __call__(self, event: ev.Event) -> None:
-        """Fold one event in (see :meth:`emit_raw`)."""
-        self.emit_raw(event.kind, event.time, event.data)
+    def capture(self, shape: ev.Shape, t: int, values: Tuple[Any, ...]
+                ) -> None:
+        """Fold one record in, as emitted; shapes that are not machine
+        facts return at once.
 
-    def emit_raw(self, kind: str, t: int, data: Dict[str, Any]) -> None:
-        """Fold one event in; kinds that are not machine facts are ignored."""
-        if kind == ev.INTERRUPT:
-            self.interrupts.append((t, data["service"]))
+        This is the recorder's one fold: :meth:`__call__` (and so
+        ``binlog.replay``) reads an event's fields into its kind's machine
+        shape and folds it here.  Another shape of a machine kind takes
+        that route too.
+        """
+        if shape not in _FOLDED:
+            if shape.kind in _SHAPE_OF:
+                self(ev.Event(shape.kind, t, dict(zip(shape.fields, values))))
             return
-        if kind not in _THREAD_KINDS:
+        if shape is ev.INTERRUPT_SHAPE:
+            self.interrupts.append((t, values[1]))
             return
-        tid = data["tid"]
-        if tid not in self.threads:
-            self.threads[tid] = ThreadTrace(tid, data.get("name", "t%d" % tid))
-        trace = self.threads[tid]
-        if kind == ev.SLICE:
-            trace.add_slice(data["start"], t, data["work"], data["node"])
-        elif kind == ev.CHARGE:
-            trace.charges.append((t, data["work"]))
-            if data["segment_done"]:
+        tid = values[0]
+        trace = self.threads.get(tid)
+        if trace is None:
+            name = values[1] if shape.fields[1] == "name" else None
+            trace = self.threads[tid] = ThreadTrace(
+                tid, "t%d" % tid if name is None else name)
+        if shape is ev.SLICE_SHAPE:
+            __, __, node, __, start, work = values
+            trace.add_slice(start, t, work, node)
+        elif shape is ev.CHARGE_SHAPE:
+            __, __, work, segment_done = values
+            trace.charges.append((t, work))
+            if segment_done:
                 trace.segment_completions.append(t)
-        elif kind == ev.DISPATCH:
+        elif shape is ev.DISPATCH_SHAPE:
             trace.dispatches.append(t)
-        elif kind == ev.RUNNABLE:
+        elif shape is ev.RUNNABLE_SHAPE:
             trace.runnables.append(t)
-        elif kind == ev.BLOCK:
+        elif shape is ev.BLOCK_SHAPE:
             trace.blocks.append(t)
-        elif kind == ev.WAKE:
+        elif shape is ev.WAKE_SHAPE:
             trace.wakes.append(t)
-        elif kind == ev.SPAWN:
+        elif shape is ev.SPAWN_SHAPE:
             trace.spawned_at = t
         else:
             trace.exited_at = t
+
+    def __call__(self, event: ev.Event) -> None:
+        """Fold one event in (live, or replayed from a binlog); a field
+        the event lacks reads as None."""
+        shape = _SHAPE_OF.get(event.kind)
+        if shape is not None:
+            self.capture(shape, event.time,
+                         tuple(map(event.data.get, shape.fields)))
 
     # --- convenience ----------------------------------------------------------
 

@@ -44,8 +44,8 @@ class ReferenceWalk(HierarchicalScheduler):
             if child is None:
                 raise SchedulingError("%r has no runnable child" % node.path)
             if obs.BUS.active:
-                obs.BUS.emit(obs.VTIME_ADVANCE, now, node=node.path,
-                             v=float(node.queue.virtual_time))
+                obs.BUS.emit(obs.VTIME_ADVANCE_SHAPE, now, node.path,
+                             float(node.queue.virtual_time))
             node = child
             depth += 1
         self._decision_depth = depth
@@ -59,11 +59,11 @@ class ReferenceWalk(HierarchicalScheduler):
             queue = node.parent.queue
             queue.charge(node, work)
             if obs.BUS.active:
-                obs.BUS.emit(obs.TAG_UPDATE, now, node=node.path,
-                             start=float(queue.start_tag(node)),
-                             finish=float(queue.finish_tag(node)), work=work)
-                obs.BUS.emit(obs.VTIME_ADVANCE, now, node=node.parent.path,
-                             v=float(queue.virtual_time))
+                obs.BUS.emit(obs.TAG_UPDATE_SHAPE, now, node.path,
+                             float(queue.start_tag(node)),
+                             float(queue.finish_tag(node)), work)
+                obs.BUS.emit(obs.VTIME_ADVANCE_SHAPE, now, node.parent.path,
+                             float(queue.virtual_time))
             node = node.parent
 
     def setrun(self, leaf):
@@ -75,10 +75,9 @@ class ReferenceWalk(HierarchicalScheduler):
             parent = node.parent
             parent.queue.set_runnable(node)
             if obs.BUS.active:
-                obs.BUS.emit(obs.TAG_UPDATE, self.clock(), node=node.path,
-                             start=float(parent.queue.start_tag(node)),
-                             finish=float(parent.queue.finish_tag(node)),
-                             work=0)
+                obs.BUS.emit(obs.TAG_UPDATE_SHAPE, self.clock(), node.path,
+                             float(parent.queue.start_tag(node)),
+                             float(parent.queue.finish_tag(node)), 0)
             if parent.runnable:
                 return
             parent.runnable = True

@@ -1,7 +1,9 @@
 """The binary trace codec: writer, reader, and bus integration."""
 
 import gc
+import hashlib
 import io
+import tracemalloc
 
 import pytest
 
@@ -13,7 +15,8 @@ from repro.obs.binlog import (
     replay,
     write_events,
 )
-from repro.obs.events import Event, EventBus
+from repro.obs import events as ev
+from repro.obs.events import Event, EventBus, Shape
 
 MIXED_EVENTS = [
     Event("dispatch", 10, {"tid": 1, "name": "mpeg", "node": "/a/b",
@@ -49,6 +52,44 @@ MIXED_EVENTS = [
 ]
 
 
+def shaped(events):
+    """``(shape, time, values)`` records for ``events``, one shared shape
+    object per (kind, fields), as the emit sites declare them."""
+    shapes = {}
+    records = []
+    for event in events:
+        key = (event.kind, tuple(event.data))
+        shape = shapes.setdefault(key, Shape(*key))
+        records.append((shape, event.time, tuple(event.data.values())))
+    return records
+
+
+MIXED_RECORDS = shaped(MIXED_EVENTS)
+
+#: faultlab-style records of one kind whose fields vary per call
+LATER_SHAPE_EVENTS = [
+    Event("fault-inject", 1, {"fault": "node-churn", "action": "churn-out",
+                              "round": 0, "thread": "a"}),
+    # as many fields as the first schema, other names: tried against it
+    # by name first, so "restore-retry" is interned before "error" misses
+    Event("fault-inject", 2, {"fault": "node-churn",
+                              "action": "restore-retry", "round": 0,
+                              "error": "StructureError"}),
+    # the first schema's fields in another order: its fast record
+    Event("fault-inject", 3, {"thread": "b", "round": 1,
+                              "action": "churn-home", "fault": "node-churn"}),
+    Event("fault-inject", 4, {"fault": "node-churn",
+                              "action": "restore-retry", "round": 2,
+                              "error": "StructureError"}),
+    Event("k", 5, {"a": 1, "b": "x"}),
+    # fits the first schema in another order, but its int overflows the
+    # slab: the miss comes after every string, then its own schema
+    Event("k", 6, {"b": "y", "a": 1 << 70}),
+    Event("k", 7, {"b": "z", "a": 5}),
+    Event("k", 1 << 70, {"b": "w", "a": 6}),
+]
+
+
 def sealed_bytes(events, defer=False):
     buffer = io.BytesIO()
     writer = BinaryTraceWriter(buffer, defer=defer)
@@ -67,6 +108,35 @@ class TestRoundTrip:
             assert original.kind == decoded.kind
             assert original.time == decoded.time
             assert original.data == decoded.data
+
+    def test_mixed_stream_seals_pinned_bytes(self):
+        # Pins the record choices the mixed stream exercises: fast records
+        # for a kind's first schema only, generic records for type drift,
+        # an int beyond 64 bits and the second tag-update shape.
+        raw = sealed_bytes(MIXED_EVENTS)
+        assert len(raw) == 724
+        assert hashlib.sha256(raw).hexdigest() == (
+            "6053d2472ccf9a1d524ed4b1f4a9a0afe8bd7b39b7d889569fbe4d6010b84791")
+
+    @pytest.mark.parametrize("path", ["event", "defer", "capture"])
+    def test_later_shapes_try_the_first_schema_by_name(self, path):
+        buffer = io.BytesIO()
+        writer = BinaryTraceWriter(buffer, defer=path == "defer")
+        for shape, time, values in shaped(LATER_SHAPE_EVENTS):
+            if path == "capture":  # a shape built per call, as faultlab's
+                writer.capture(Shape(shape.kind, shape.fields), time, values)
+            else:
+                writer(Event(shape.kind, time,
+                             dict(zip(shape.fields, values))))
+        writer.close()
+        raw = buffer.getvalue()
+        assert hashlib.sha256(raw).hexdigest() == (
+            "7269adbdcfbc7710d63f74361278dba06f1fc0f529b265647fa6ff43b9e0cd8b")
+        decoded = list(read_events(io.BytesIO(raw)))
+        assert list(decoded[2].data) == ["fault", "action", "round", "thread"]
+        assert list(decoded[5].data) == ["b", "a"]
+        assert list(decoded[6].data) == ["a", "b"]
+        assert BinaryTraceReader(io.BytesIO(raw)).info()["schemas"] == 4
 
     def test_value_types_survive_exactly(self):
         raw = sealed_bytes(MIXED_EVENTS)
@@ -118,11 +188,16 @@ class TestWriterModes:
         writer.close()
         assert list(read_events(io.BytesIO(buffer.getvalue())))
 
-    def test_deferred_mode_withholds_the_raw_table(self):
-        assert BinaryTraceWriter(io.BytesIO(), defer=True).raw_encoders \
-            is None
-        writer = BinaryTraceWriter(io.BytesIO())
-        assert writer.raw_encoders is writer._hot
+    def test_deferred_capture_keeps_records_flat(self):
+        writer = BinaryTraceWriter(io.BytesIO(), defer=True)
+        writer.capture(ev.WAKE_SHAPE, 7, (3, "/a"))
+        writer.capture(ev.EXIT_SHAPE, 9, (3, "/a"))
+        assert writer._pending == [ev.WAKE_SHAPE, 7, 3, "/a",
+                                   ev.EXIT_SHAPE, 9, 3, "/a"]
+        writer.close()
+        assert [(event.kind, event.time) for event in read_events(
+            io.BytesIO(writer._file.getvalue()))] == [("wake", 7),
+                                                       ("exit", 9)]
 
     def test_event_count_tracks_both_modes(self):
         for defer in (False, True):
@@ -240,46 +315,45 @@ class TestInfo:
 
 
 class TestBusIntegration:
-    """The raw-consumer protocol must never change what gets written."""
+    """The capture protocol must never change what gets written."""
 
     def emit_all(self, bus):
-        for event in MIXED_EVENTS:
-            bus.emit(event.kind, event.time, **event.data)
+        for shape, time, values in MIXED_RECORDS:
+            bus.emit(shape, time, *values)
 
-    def test_sole_subscriber_uses_raw_table(self):
+    def test_sole_capture_subscriber_is_called_directly(self):
         bus = EventBus()
         writer = BinaryTraceWriter(io.BytesIO())
         bus.subscribe(writer)
-        assert bus._raw is not None
-        assert bus._raw_table is writer.raw_encoders
+        assert bus._capture == writer.capture
         bus.unsubscribe(bus.subscribe(lambda event: None))
-        assert bus._raw_table is writer.raw_encoders  # refreshed back
+        assert bus._capture == writer.capture  # refreshed back
 
     def test_raw_path_and_event_path_write_identical_bytes(self):
-        # sole subscriber: zero-copy raw dispatch
+        # the raw path: the bus hands the writer each record as emitted
         bus = EventBus()
         buffer_raw = io.BytesIO()
         writer = BinaryTraceWriter(buffer_raw)
         bus.subscribe(writer)
         self.emit_all(bus)
         writer.close()
-        # second subscriber forces Event construction and __call__
+        # the Event path: the writer fed the Event the bus builds
         bus = EventBus()
         buffer_event = io.BytesIO()
         writer = BinaryTraceWriter(buffer_event)
-        bus.subscribe(lambda event: None)
-        bus.subscribe(writer)
-        assert bus._raw is None
+        bus.subscribe(lambda event: writer(event))
+        assert bus._capture is None
         self.emit_all(bus)
         writer.close()
         assert buffer_raw.getvalue() == buffer_event.getvalue()
+        assert buffer_raw.getvalue() == sealed_bytes(MIXED_EVENTS)
 
     def test_deferred_writer_on_the_bus(self):
         bus = EventBus()
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer, defer=True)
         bus.subscribe(writer)
-        assert bus._raw is not None and bus._raw_table is None
+        assert bus._capture == writer.capture
         self.emit_all(bus)
         writer.close()
         assert buffer.getvalue() == sealed_bytes(MIXED_EVENTS)
@@ -294,35 +368,73 @@ class TestBusIntegration:
         assert seen == [event.kind for event in MIXED_EVENTS]
         assert writer.event_count == len(MIXED_EVENTS)
 
-    @pytest.mark.parametrize("sole_subscriber", [True, False],
-                             ids=["emit_raw", "event"])
-    def test_deferred_capture_adds_no_gc_tracked_objects(
-            self, sole_subscriber):
+    @pytest.mark.parametrize("path", ["capture", "event"])
+    def test_deferred_capture_adds_no_gc_tracked_objects(self, path):
         bus = EventBus()
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer, defer=True)
-        bus.subscribe(writer)
-        if not sole_subscriber:
-            bus.subscribe(lambda event: None)
-        assert (bus._raw is not None) is sole_subscriber
+        if path == "capture":
+            bus.subscribe(writer)
+        else:
+            bus.subscribe(lambda event: writer(event))
+        shape = Shape("dispatch", ("tid", "name", "node", "cpu", "switched",
+                                   "load", "extra"))
         gc.collect()
         before = len(gc.get_objects())
         for index in range(10_000):
-            bus.emit("dispatch", 1_000_000 + index, tid=index, name="t",
-                     node="/a", cpu=0, switched=True, load=0.5, extra=None)
+            bus.emit(shape, 1_000_000 + index, index, "t", "/a", 0, True,
+                     0.5, None)
         grown = len(gc.get_objects()) - before
         writer.close()
         assert grown < 100
         assert len(BinaryTraceReader(io.BytesIO(buffer.getvalue()))) \
             == 10_000
 
-    def test_emit_raw_handles_unknown_kinds(self):
+    def test_deferred_slice_holds_at_most_80_bytes(self):
+        # What capture itself keeps per record, the values being the
+        # emitter's: one list slot per value plus the shape and the time,
+        # so a 6-field slice is 8 slots, 64 bytes, plus the list's
+        # over-allocation.  A dict per record would hold ~300.
+        bus = EventBus()
+        writer = BinaryTraceWriter(io.BytesIO(), defer=True)
+        bus.subscribe(writer)
+        times = list(range(1 << 20, (1 << 20) + 10_000))
+        values = (3, "t", "/a", 0, 1 << 40, 5_000)
+        emit = bus.emit
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for time in times:
+                emit(ev.SLICE_SHAPE, time, *values)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        writer.close()
+        assert held / len(times) <= 80
+
+    def test_capture_handles_unknown_shapes(self):
         writer = BinaryTraceWriter(buffer := io.BytesIO())
-        writer.emit_raw("fresh", 1, {"x": 1})
-        writer.emit_raw("fresh", 2, {"x": 2})
+        writer.capture(Shape("fresh", ("x",)), 1, (1,))
+        writer.capture(Shape("fresh", ("x",)), 2, (2,))
         writer.close()
         out = list(read_events(io.BytesIO(buffer.getvalue())))
         assert [event.data["x"] for event in out] == [1, 2]
+
+    @pytest.mark.parametrize("defer", [False, True], ids=["stream", "defer"])
+    def test_shapes_built_per_call_reuse_one_schema(self, defer):
+        def sealed(per_call):
+            buffer = io.BytesIO()
+            writer = BinaryTraceWriter(buffer, defer=defer)
+            shared = Shape(ev.FAULT_INJECT, ("fault", "action", "thread"))
+            for index in range(5):
+                shape = (Shape(ev.FAULT_INJECT, ("fault", "action", "thread"))
+                         if per_call else shared)
+                writer.capture(shape, index, ("crash", "inject", "t%d" % index))
+            writer.close()
+            return buffer.getvalue(), writer._schema_count
+
+        assert sealed(per_call=True) == sealed(per_call=False)
+        assert sealed(per_call=True)[1] == 1
 
 
 def test_machine_capture_matches_event_formatting(harness):

@@ -41,13 +41,14 @@ class TestBusMechanics:
 
     def test_emit_without_subscribers_is_noop(self):
         bus = ev.EventBus()
-        bus.emit(ev.DISPATCH, 5, tid=1)  # must not raise or allocate events
+        # must not raise or allocate events
+        bus.emit(ev.Shape(ev.DISPATCH, ("tid",)), 5, 1)
 
     def test_emit_delivers_event_fields(self):
         bus = ev.EventBus()
         seen = []
         bus.subscribe(seen.append)
-        bus.emit(ev.DISPATCH, 42, tid=7, node="/apps")
+        bus.emit(ev.Shape(ev.DISPATCH, ("tid", "node")), 42, 7, "/apps")
         assert len(seen) == 1
         event = seen[0]
         assert event.kind == ev.DISPATCH
@@ -56,12 +57,48 @@ class TestBusMechanics:
         assert event.get("tid") == 7
         assert event.get("missing", "d") == "d"
 
+    def test_capture_consumer_is_handed_the_record_as_emitted(self):
+        bus = ev.EventBus()
+        records = []
+
+        class Consumer:
+            def __call__(self, event):
+                raise AssertionError("built an Event for a capture consumer")
+
+            def capture(self, shape, time, values):
+                records.append((shape, time, values))
+
+        bus.subscribe(Consumer())
+        bus.emit(ev.WAKE_SHAPE, 9, 3, "/a")
+        assert records == [(ev.WAKE_SHAPE, 9, (3, "/a"))]
+
+    def test_mixed_subscribers_keep_order_and_share_one_event(self):
+        bus = ev.EventBus()
+        order = []
+
+        class Consumer:
+            def __call__(self, event):
+                raise AssertionError("built an Event for a capture consumer")
+
+            def capture(self, shape, time, values):
+                order.append(("capture", values))
+
+        bus.subscribe(lambda event: order.append(("plain", event)))
+        bus.subscribe(Consumer())
+        bus.subscribe(lambda event: order.append(("plain", event)))
+        bus.emit(ev.RUNNABLE_SHAPE, 4, 2, "/b")
+        assert [tag for tag, __ in order] == ["plain", "capture", "plain"]
+        assert order[0][1] is order[2][1]
+        assert order[0][1].kind == ev.RUNNABLE
+        assert order[0][1].data == {"tid": 2, "node": "/b"}
+        assert order[1][1] == (2, "/b")
+
     def test_subscribers_called_in_subscription_order(self):
         bus = ev.EventBus()
         order = []
         bus.subscribe(lambda e: order.append("first"))
         bus.subscribe(lambda e: order.append("second"))
-        bus.emit(ev.WAKE, 0, tid=1)
+        bus.emit(ev.WAKE_SHAPE, 0, 1, "/")
         assert order == ["first", "second"]
 
     def test_subscription_context_manager_always_cleans_up(self):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import events as ev
 from repro.obs.binlog import (
     BinaryTraceReader,
+    BinaryTraceWriter,
     BinlogError,
     decode_zigzag,
     encode_varint,
@@ -117,3 +119,90 @@ def test_any_single_byte_corruption_is_rejected(stream, data):
     raw[index] ^= flip
     with pytest.raises(BinlogError):
         BinaryTraceReader(io.BytesIO(bytes(raw)))
+
+
+# --- shaped capture: every input path seals the same bytes -------------------
+
+#: each catalogue field's usual type, so most draws hit the schema fast path
+_INTS = st.integers(min_value=-(1 << 40), max_value=1 << 40)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_FLOATS = st.floats(allow_nan=False)
+_NATURAL = {
+    "name": _TEXT, "node": _TEXT, "rule": _TEXT, "message": _TEXT,
+    "source": _TEXT, "switched": st.booleans(),
+    "segment_done": st.booleans(), "leaf": st.booleans(), "finish": _FLOATS,
+    "v": _FLOATS, "start": st.one_of(_INTS, _FLOATS),
+}
+#: type drift, ints beyond 64 bits and None fields
+_DRIFT = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT,
+                   st.integers(min_value=1 << 63), st.integers(
+                       max_value=-(1 << 63) - 1))
+
+
+def _field(name):
+    natural = _NATURAL.get(name, _INTS)
+    return st.one_of(natural, natural, natural, _DRIFT)
+
+
+@st.composite
+def shaped_records(draw):
+    """Catalogue records (both ``tag-update`` shapes among them), with
+    drifted values and at most one unencodable value."""
+    records = []
+    time = 0
+    for __ in range(draw(st.integers(min_value=0, max_value=30))):
+        shape = draw(st.sampled_from(ev.SHAPES))
+        time += draw(st.integers(min_value=-1_000, max_value=10 ** 9))
+        values = tuple(draw(_field(name)) for name in shape.fields)
+        records.append((shape, time, values))
+    if records and draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(records) - 1))
+        shape, time, values = records[at]
+        index = draw(st.integers(min_value=0, max_value=len(values) - 1))
+        values = values[:index] + ([index],) + values[index + 1:]
+        records[at] = (shape, time, values)
+    return records
+
+
+def _sealed(records, mode):
+    """The log ``records`` seal to through one input path, and how many
+    TypeErrors the writer raised on the way."""
+    buffer = io.BytesIO()
+    writer = BinaryTraceWriter(buffer, defer=mode == "defer")
+    errors = 0
+    for shape, time, values in records:
+        try:
+            if mode == "event":
+                writer(Event(shape.kind, time,
+                             dict(zip(shape.fields, values))))
+            else:
+                writer.capture(shape, time, values)
+        except TypeError:
+            errors += 1
+    try:
+        writer.close()
+    except TypeError:
+        errors += 1
+    return buffer.getvalue(), errors
+
+
+def _typed(kind, time, data):
+    return kind, time, [(key, type(value), value)
+                        for key, value in data.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_records())
+def test_capture_paths_seal_identical_bytes(records):
+    stream = _sealed(records, "stream")
+    assert _sealed(records, "defer") == stream
+    assert _sealed(records, "event") == stream
+    raw, errors = stream
+    # the unencodable record is left out, the rest sealed: one TypeError
+    kept = [(shape, time, values) for shape, time, values in records
+            if not any(type(value) is list for value in values)]
+    assert errors == len(records) - len(kept)
+    assert [_typed(event.kind, event.time, event.data)
+            for event in read_events(io.BytesIO(raw))] == [
+        _typed(shape.kind, time, dict(zip(shape.fields, values)))
+        for shape, time, values in kept]

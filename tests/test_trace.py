@@ -169,3 +169,51 @@ class TestTimeline:
         recorder(ev.Event(ev.INTERRUPT, 10, {"cpu": 0, "service": 7}))
         assert recorder.total_interrupt_time() == 12
         assert recorder.interrupts == [(0, 5), (10, 7)]
+
+
+class TestRecorderCapture:
+    """``capture`` is the recorder's one fold; Events reach it by name."""
+
+    RECORDS = [
+        (ev.SPAWN_SHAPE, 0, (1, "a", "/x", 1)),
+        (ev.RUNNABLE_SHAPE, 0, (1, "/x")),
+        (ev.DISPATCH_SHAPE, 1, (1, "a", "/x", 0, 1, True, 0, 500)),
+        (ev.TAG_UPDATE_SHAPE, 5, ("/x", 0.0, 1.0, 400)),
+        (ev.VTIME_ADVANCE_SHAPE, 5, ("/", 0.5)),
+        (ev.SLICE_SHAPE, 5, (1, "a", "/x", 0, 1, 400)),
+        (ev.CHARGE_SHAPE, 5, (1, "/x", 400, True)),
+        (ev.BLOCK_SHAPE, 5, (1, "/x", -1)),
+        (ev.INTERRUPT_SHAPE, 7, (0, 3)),
+        (ev.WAKE_SHAPE, 9, (1, "/x")),
+        (ev.PREEMPT_SHAPE, 10, (1, "/x")),
+        (ev.EXIT_SHAPE, 12, (1, "/x")),
+        (ev.RUNNABLE_SHAPE, 13, (2, "/y")),
+    ]
+
+    def test_capture_and_events_fold_alike(self):
+        from tests.goldens import recorder_lines
+        captured, called = Recorder(), Recorder()
+        for shape, time, values in self.RECORDS:
+            captured.capture(shape, time, values)
+            called(ev.Event(shape.kind, time,
+                            dict(zip(shape.fields, values))))
+        assert recorder_lines(captured) == recorder_lines(called)
+        trace = captured.threads[1]
+        assert trace.name == "a"
+        assert (trace.spawned_at, trace.exited_at) == (0, 12)
+        assert trace.slices == [(1, 5, 400)]
+        assert trace.slice_nodes == ["/x"]
+        assert trace.charges == [(5, 400)]
+        assert trace.segment_completions == [5]
+        assert trace.dispatches == [1] and trace.blocks == [5]
+        assert trace.wakes == [9] and trace.runnables == [0]
+        assert captured.interrupts == [(7, 3)]
+        assert captured.threads[2].name == "t2"
+
+    def test_another_shape_of_a_machine_kind_is_read_by_name(self):
+        recorder = Recorder()
+        recorder.capture(ev.Shape(ev.SLICE, ("work", "start", "tid", "node")),
+                         9, (300, 4, 2, "/y"))
+        assert recorder.threads[2].slices == [(4, 9, 300)]
+        assert recorder.threads[2].slice_nodes == ["/y"]
+        assert recorder.threads[2].name == "t2"
