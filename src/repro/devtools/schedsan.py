@@ -57,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.interface import TopScheduler
@@ -74,6 +75,9 @@ ENV_MODE = "REPRO_SCHEDSAN_MODE"
 
 #: cap on collected violations, so a hot loop cannot exhaust memory
 MAX_COLLECTED = 1000
+
+_NODE_ID = attrgetter("node_id")
+_WEIGHT = attrgetter("weight")
 
 
 class SchedsanError(SchedulingError):
@@ -139,9 +143,11 @@ class SchedsanScheduler(TopScheduler):
         self._in_service: Dict[int, str] = {}
         #: node_id -> last observed virtual time, per internal node
         self._last_v: Dict[int, object] = {}
-        #: node_id -> (weight, runnable, S, F) at the last sweep; drives
-        #: the dormant-weight-change invariant
-        self._node_snapshots: Dict[int, Tuple[int, bool, object, object]] = {}
+        #: parent node_id -> its last sweep: the children's weights keyed
+        #: by node_id, then copies of the queue's ent/run/start/fin
+        #: columns; drives the dormant-weight-change invariant
+        self._sweeps: Dict[int, Tuple[Dict[int, int], List[Any], List[int],
+                                      List[Any], List[Any]]] = {}
 
     # --- plumbing ---------------------------------------------------------
 
@@ -230,39 +236,51 @@ class SchedsanScheduler(TopScheduler):
         """Paper §3: a weight change while a node is dormant must not warp
         its recorded tags.
 
-        Each sweep snapshots every child's ``(weight, runnable, S, F)``.
-        If two consecutive observations both find the child dormant but
-        the weight changed *and* the tags moved, something recomputed
+        Each sweep snapshots every child's weight, runnable bit, ``S`` and
+        ``F``.  If two consecutive observations both find the child dormant
+        but the weight changed *and* the tags moved, something recomputed
         ``S``/``F`` eagerly from the new weight — the warp the paper
         forbids (the change may only take effect at the next stamping).
-        Cross-link: schedflow's SF204 flags the unsanctioned ``.weight``
-        stores that make such warps invisible to this check.
+        Only a child whose weight changed can trip the rule, so only those
+        are examined one by one; the rest of the snapshot is C-level
+        copies: the weights keyed by ``node_id`` and the queue's columns.
+        A child that was not queued at the last sweep has nothing to
+        compare with.  Cross-link: schedflow's SF204 flags the unsanctioned
+        ``.weight`` stores that make such warps invisible to this check.
         """
         queue = parent.queue
-        for child in parent.children.values():
-            if child not in queue:
-                self._node_snapshots.pop(child.node_id, None)
-                continue
+        arena = queue.arena
+        children = parent.children.values()
+        weights = dict(zip(map(_NODE_ID, children), map(_WEIGHT, children)))
+        last = self._sweeps.get(parent.node_id)
+        self._sweeps[parent.node_id] = (weights, arena.ent[:], arena.run[:],
+                                        arena.start[:], arena.fin[:])
+        if last is None or weights == last[0]:
+            return
+        old_weights, old_ent, old_run, old_start, old_fin = last
+        for child in children:
             weight = child.weight
-            runnable = queue.is_runnable(child)
-            start = queue.start_tag(child)
-            finish = queue.finish_tag(child)
-            previous = self._node_snapshots.get(child.node_id)
-            if previous is not None:
-                old_weight, was_runnable, old_start, old_finish = previous
-                if (not runnable and not was_runnable
-                        and weight != old_weight
-                        and (start != old_start or finish != old_finish)):
-                    self._violate(
-                        "dormant-weight-warp", child.path, now,
-                        "weight changed %d -> %d while dormant and the "
-                        "tags warped (S: %r -> %r, F: %r -> %r); dormant "
-                        "weight changes take effect at the next stamping, "
-                        "never retroactively"
-                        % (old_weight, weight, old_start, start,
-                           old_finish, finish))
-            self._node_snapshots[child.node_id] = (
-                weight, runnable, start, finish)
+            old_weight = old_weights.get(child.node_id, weight)
+            if weight == old_weight or child not in queue:
+                continue
+            try:
+                old_slot = old_ent.index(child)
+            except ValueError:
+                continue
+            slot = queue.slot_of(child)
+            if arena.run[slot] or old_run[old_slot]:
+                continue
+            start = arena.start[slot]
+            finish = arena.fin[slot]
+            if start != old_start[old_slot] or finish != old_fin[old_slot]:
+                self._violate(
+                    "dormant-weight-warp", child.path, now,
+                    "weight changed %d -> %d while dormant and the "
+                    "tags warped (S: %r -> %r, F: %r -> %r); dormant "
+                    "weight changes take effect at the next stamping, "
+                    "never retroactively"
+                    % (old_weight, weight, old_start[old_slot], start,
+                       old_fin[old_slot], finish))
 
     def _sweep_virtual_time(self, thread: "SimThread",
                             now: Optional[int]) -> None:

@@ -682,7 +682,9 @@ class BinaryTraceReader:
                               "(log was not sealed or was cut short)")
         (count,) = _FOOTER_STRUCT.unpack_from(raw, footer_at + 1)
         digest = raw[footer_at + 1 + _FOOTER_STRUCT.size:]
-        actual = hashlib.sha256(raw[:footer_at]).digest()
+        # hash the body through a view: slicing would copy the whole log
+        with memoryview(raw) as view:
+            actual = hashlib.sha256(view[:footer_at]).digest()
         if digest != actual:
             raise BinlogError("corrupted binary trace: content hash mismatch")
         self._body_end = footer_at

@@ -16,6 +16,7 @@ practice has caught every machine/scheduler bookkeeping bug early.
 from __future__ import annotations
 
 import enum
+from typing import Tuple
 
 
 class ThreadState(enum.Enum):
@@ -27,6 +28,12 @@ class ThreadState(enum.Enum):
     SLEEPING = "sleeping"
     EXITED = "exited"
 
+    #: the allowed successors, in declaration order (set below from
+    #: :data:`ALLOWED_TRANSITIONS`).  A tuple test compares members by
+    #: identity, where a set lookup would call the Python-level
+    #: ``Enum.__hash__``; the machines transition on every dispatch.
+    successors: Tuple["ThreadState", ...]
+
 
 #: Legal state transitions: mapping from state to the set of allowed successors.
 ALLOWED_TRANSITIONS = {
@@ -36,3 +43,8 @@ ALLOWED_TRANSITIONS = {
     ThreadState.SLEEPING: {ThreadState.RUNNABLE, ThreadState.EXITED},
     ThreadState.EXITED: set(),
 }
+
+for _state in ThreadState:
+    _state.successors = tuple(
+        state for state in ThreadState if state in ALLOWED_TRANSITIONS[_state])
+del _state

@@ -13,7 +13,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import SchedulingError
 from repro.threads.segments import Workload
-from repro.threads.states import ALLOWED_TRANSITIONS, ThreadState
+from repro.threads.states import ThreadState
 
 
 class ThreadStats:
@@ -96,7 +96,7 @@ class SimThread:
 
     def transition(self, new_state: ThreadState) -> None:
         """Move to ``new_state``, validating against the lifecycle graph."""
-        if new_state not in ALLOWED_TRANSITIONS[self.state]:
+        if new_state not in self.state.successors:
             raise SchedulingError(
                 "illegal transition for %s: %s -> %s"
                 % (self, self.state.value, new_state.value))

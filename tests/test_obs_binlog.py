@@ -7,6 +7,9 @@ import tracemalloc
 
 import pytest
 
+from repro.core.hierarchy import HierarchicalScheduler
+from repro.core.structure import SchedulingStructure
+from repro.core.tags import FLOAT
 from repro.obs.binlog import (
     BinaryTraceReader,
     BinaryTraceWriter,
@@ -17,6 +20,12 @@ from repro.obs.binlog import (
 )
 from repro.obs import events as ev
 from repro.obs.events import Event, EventBus, Shape
+from repro.schedulers.sfq_leaf import SfqScheduler
+from repro.sim.engine import Simulator
+from repro.smp.machine import SmpMachine
+from repro.threads.segments import Compute, SegmentListWorkload, SleepFor
+from repro.threads.thread import SimThread
+from repro.units import MS, SECOND
 
 MIXED_EVENTS = [
     Event("dispatch", 10, {"tid": 1, "name": "mpeg", "node": "/a/b",
@@ -312,6 +321,62 @@ class TestInfo:
         reader = BinaryTraceReader(io.BytesIO(sealed_bytes(MIXED_EVENTS)))
         assert len(reader) == len(MIXED_EVENTS)
         assert len(list(reader)) == len(MIXED_EVENTS)
+
+
+@pytest.fixture(scope="module")
+def storm_binlog(tmp_path_factory):
+    """A deferred binlog of a real capture: 1,500 threads admitted onto a
+    2-CPU SMP box over 16 float SFQ leaves, about 1.4 MB."""
+    structure = SchedulingStructure(FLOAT)
+    leaves = []
+    for group in range(4):
+        node = structure.mknod("g%d" % group, 1 + group)
+        for index in range(4):
+            leaves.append(structure.mknod(
+                "l%d" % index, 1, parent=node, scheduler=SfqScheduler(FLOAT)))
+    engine = Simulator()
+    machine = SmpMachine(engine, HierarchicalScheduler(structure),
+                         num_cpus=2, capacity_ips=100_000_000,
+                         default_quantum=1 * MS)
+    path = tmp_path_factory.mktemp("readback") / "storm.binlog"
+    writer = BinaryTraceWriter(str(path), defer=True)
+    with engine.bus.subscription(writer):
+        for index in range(1_500):
+            thread = SimThread("storm-%d" % index, SegmentListWorkload(
+                [Compute(30_000), SleepFor(2 * MS), Compute(30_000)]),
+                weight=1 + index % 5)
+            leaves[index % len(leaves)].attach_thread(thread)
+            machine.spawn(thread, at=index * 100_000)
+        machine.run_until(1_500 * 100_000 + SECOND)
+    writer.close()
+    return path, writer.event_count, machine.dispatches
+
+
+class TestReadBackMemory:
+    """The reader holds a log once: validating it copies nothing the size
+    of the log (hashing a slice of the body would hold it twice)."""
+
+    @pytest.mark.parametrize("source", ["path", "bytesio"])
+    def test_reader_peak_is_one_copy_of_the_log(self, storm_binlog, source):
+        path, events, dispatches = storm_binlog
+        size = path.stat().st_size
+        assert size >= 1 << 20
+        tracemalloc.start()
+        try:
+            if source == "path":
+                reader = BinaryTraceReader(str(path))
+            else:
+                # the bytes are read inside the traced window, so both
+                # sources count the log itself once
+                reader = BinaryTraceReader(io.BytesIO(path.read_bytes()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * size, "reader peak %.2fx the log" % (
+            peak / size)
+        assert len(reader) == events
+        assert reader.info()["size_bytes"] == size
+        assert reader.info()["kinds"]["dispatch"] == dispatches
 
 
 class TestBusIntegration:

@@ -101,6 +101,22 @@ class TestSimThread:
         with pytest.raises(SchedulingError):
             thread.transition(ThreadState.RUNNING)  # NEW -> RUNNING illegal
 
+    @pytest.mark.parametrize("new", list(ThreadState), ids=lambda s: s.value)
+    @pytest.mark.parametrize("old", list(ThreadState), ids=lambda s: s.value)
+    def test_transition_follows_the_public_table(self, old, new):
+        thread = self.make()
+        thread.state = old
+        if new in ALLOWED_TRANSITIONS[old]:
+            thread.transition(new)
+            assert thread.state is new
+            return
+        with pytest.raises(SchedulingError) as excinfo:
+            thread.transition(new)
+        assert str(excinfo.value) == (
+            "illegal transition for SimThread(tid=0, name='worker', "
+            "state=%s): %s -> %s" % (old.value, old.value, new.value))
+        assert thread.state is old
+
     def test_is_runnable(self):
         thread = self.make()
         assert not thread.is_runnable
