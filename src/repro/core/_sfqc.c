@@ -1,8 +1,11 @@
 /* _sfqc: the compiled SFQ engine (REPRO_ENGINE=compiled).
  *
- * Hand-written CPython extension implementing the eight hot-path entry
- * points of repro/core/sfq.py over the columnar arena.  Every function
- * here is a behavioural mirror of the pure-python definition — same
+ * Hand-written CPython extension over the columnar arena.  It exports
+ * nine hot-path entry points: the four chain walks of repro/core/sfq.py
+ * (pick_leaf, charge_chain, wake_chain, sleep_chain), its four queue ops
+ * (queue_pick, queue_charge, queue_set_runnable, queue_set_blocked) and
+ * the uniprocessor Machine's burst-completion tick (machine_tick).  Every
+ * function here is a behavioural mirror of the pure-python definition — same
  * state writes in the same order, same heap entry tuples, same
  * arithmetic — so the two engines are byte-identical on traces and
  * schedstat (gated in CI by the golden fixtures and enginediff).
@@ -38,7 +41,7 @@ enum { CH_QUEUE, CH_FLOAT, CH_SOLO, CH_HEAP, CH_STATE, CH_START, CH_FIN,
 
 /* interned attribute names, created at module init */
 static PyObject *str_cview, *str_weight, *str_advance, *str_runnable,
-    *str_queue, *str_parent;
+    *str_queue;
 /* repro.errors.SchedulingError, resolved at module init */
 static PyObject *SchedulingError;
 /* cached small ints */
@@ -178,7 +181,7 @@ heap_push(PyObject *heap, PyObject *item)
 /* heappop(heap) discarding the result (the engines only pop stale
  * entries).  Standard sift-down of the relocated tail element. */
 static int
-heap_discard_min_cmp(PyObject *heap, entry_cmp lt_fn)
+heap_discard_min(PyObject *heap)
 {
     Py_ssize_t size = PyList_GET_SIZE(heap);
     if (size == 0) {
@@ -212,15 +215,15 @@ heap_discard_min_cmp(PyObject *heap, entry_cmp lt_fn)
             return -1;
         }
         if (child + 1 < size) {
-            int right_lt = lt_fn(PyList_GET_ITEM(heap, child + 1),
-                                 PyList_GET_ITEM(heap, child));
+            int right_lt = entry_lt(PyList_GET_ITEM(heap, child + 1),
+                                    PyList_GET_ITEM(heap, child));
             if (right_lt < 0)
                 return -1;
             if (right_lt)
                 child += 1;
         }
-        int child_lt = lt_fn(PyList_GET_ITEM(heap, child),
-                             PyList_GET_ITEM(heap, pos));
+        int child_lt = entry_lt(PyList_GET_ITEM(heap, child),
+                                PyList_GET_ITEM(heap, pos));
         if (child_lt < 0)
             return -1;
         if (!child_lt)
@@ -232,12 +235,6 @@ heap_discard_min_cmp(PyObject *heap, entry_cmp lt_fn)
         pos = child;
     }
     return 0;
-}
-
-static int
-heap_discard_min(PyObject *heap)
-{
-    return heap_discard_min_cmp(heap, entry_lt);
 }
 
 /* finish = start + length / weight, matching the pure engine bit for bit.
@@ -995,16 +992,14 @@ static PyObject *str_active, *str_bus, *str_engine, *str_now,
     *str_on_burst_complete, *str_on_wakeup, *str_defer_dispatch,
     *str_release_held_mutexes, *str_retire, *str_charge,
     *str_thread_blocked, *str_equeue, *str_eheap, *str_eseq, *str_elive,
-    *str_fired, *str_callback, *str_arg, *str_cancelled, *str_time,
-    *str_priority, *str_seq_attr, *str_turbo_wake, *str_wakeups,
-    *str_transition, *str_last_runnable_at, *str_thread_runnable,
-    *str_preempt_policy, *str_should_preempt, *str_preempt_current;
+    *str_callback, *str_arg, *str_cancelled, *str_time, *str_priority,
+    *str_seq_attr;
 static PyObject *long_one, *long_neg_one, *long_second, *empty_tuple;
 
 /* lazily resolved classes/objects (the repro modules that define them
  * import this extension, so they cannot be imported at module init) */
 static int machine_ready = 0;
-static PyObject *TS_NEW, *TS_RUNNABLE, *TS_RUNNING, *TS_SLEEPING, *TS_EXITED;
+static PyObject *TS_RUNNABLE, *TS_RUNNING, *TS_SLEEPING, *TS_EXITED;
 static PyTypeObject *HierType, *LeafNodeType, *SfqLeafType, *CostBaseType,
     *EventHandleType;
 static PyObject *SimulationErrorC;
@@ -1030,8 +1025,7 @@ ensure_machine_state(void)
     PyObject *ts = import_attr("repro.threads.states", "ThreadState");
     if (ts == NULL)
         return -1;
-    TS_NEW = PyObject_GetAttrString(ts, "NEW");
-    TS_RUNNABLE = TS_NEW ? PyObject_GetAttrString(ts, "RUNNABLE") : NULL;
+    TS_RUNNABLE = PyObject_GetAttrString(ts, "RUNNABLE");
     TS_RUNNING = TS_RUNNABLE ? PyObject_GetAttrString(ts, "RUNNING") : NULL;
     TS_SLEEPING = TS_RUNNING ? PyObject_GetAttrString(ts, "SLEEPING") : NULL;
     TS_EXITED = TS_SLEEPING ? PyObject_GetAttrString(ts, "EXITED") : NULL;
@@ -1457,35 +1451,17 @@ fail_queue:
     return NULL;
 }
 
-/* Machine._schedule_wakeup with tracing known to be off: schedule the
- * compiled wake entry (or _on_wakeup when no turbo is installed) and
- * store the handle on the thread. */
+/* Machine._schedule_wakeup with tracing known to be off: schedule
+ * _on_wakeup and store the handle on the thread. */
 static int
 schedule_wake(PyObject *machine, PyObject *engine, PyObject *thread,
               PyObject *wake)
 {
-    PyObject *wake_cb = PyObject_GetAttr(machine, str_turbo_wake);
-    if (wake_cb == NULL)
+    PyObject *on_wakeup = PyObject_GetAttr(machine, str_on_wakeup);
+    if (on_wakeup == NULL)
         return -1;
-    PyObject *handle;
-    if (wake_cb == Py_None) {
-        Py_DECREF(wake_cb);
-        PyObject *on_wakeup = PyObject_GetAttr(machine, str_on_wakeup);
-        if (on_wakeup == NULL)
-            return -1;
-        handle = sched_at(engine, wake, on_wakeup, thread, PRIO_WAKEUP);
-        Py_DECREF(on_wakeup);
-    }
-    else {
-        PyObject *pair = PyTuple_Pack(2, machine, thread);
-        if (pair == NULL) {
-            Py_DECREF(wake_cb);
-            return -1;
-        }
-        handle = sched_at(engine, wake, wake_cb, pair, PRIO_WAKEUP);
-        Py_DECREF(wake_cb);
-        Py_DECREF(pair);
-    }
+    PyObject *handle = sched_at(engine, wake, on_wakeup, thread, PRIO_WAKEUP);
+    Py_DECREF(on_wakeup);
     if (handle == NULL)
         return -1;
     int rc = PyObject_SetAttr(thread, str_wakeup_handle, handle);
@@ -2072,398 +2048,6 @@ sfqc_machine_tick(PyObject *Py_UNUSED(module), PyObject *machine)
     return machine_tick_impl(machine);
 }
 
-/* SimThread.transition(RUNNABLE): the wake path arrives from SLEEPING
- * (or NEW via spawn), where the edge is legal by the lifecycle graph;
- * anything else delegates so the canonical error is raised. */
-static int
-thread_to_runnable(PyObject *thread)
-{
-    PyObject *state = PyObject_GetAttr(thread, str_state);
-    if (state == NULL)
-        return -1;
-    int direct = (state == TS_SLEEPING || state == TS_NEW);
-    Py_DECREF(state);
-    if (direct)
-        return PyObject_SetAttr(thread, str_state, TS_RUNNABLE);
-    return call1(thread, str_transition, TS_RUNNABLE);
-}
-
-/* HierarchicalScheduler.thread_runnable: on_runnable + setrun */
-static int
-h_thread_runnable(PyObject *sched, PyObject *thread, PyObject *now)
-{
-    if (Py_TYPE(sched) != HierType)
-        return call2(sched, str_thread_runnable, thread, now);
-    PyObject *leaf = PyObject_GetAttr(thread, str_leaf);
-    if (leaf == NULL)
-        return -1;
-    if (Py_TYPE(leaf) != LeafNodeType) {
-        Py_DECREF(leaf);
-        return call2(sched, str_thread_runnable, thread, now);
-    }
-    PyObject *lsched = PyObject_GetAttr(leaf, str_scheduler);
-    if (lsched == NULL) {
-        Py_DECREF(leaf);
-        return -1;
-    }
-    if (Py_TYPE(lsched) != SfqLeafType) {
-        Py_DECREF(lsched);
-        Py_DECREF(leaf);
-        return call2(sched, str_thread_runnable, thread, now);
-    }
-    PyObject *lqueue = PyObject_GetAttr(lsched, str_queue);
-    Py_DECREF(lsched);
-    if (lqueue == NULL) {
-        Py_DECREF(leaf);
-        return -1;
-    }
-    int rc = queue_set_runnable_impl(lqueue, thread);
-    Py_DECREF(lqueue);
-    if (rc < 0) {
-        Py_DECREF(leaf);
-        return -1;
-    }
-    /* setrun(leaf) */
-    PyObject *flag = PyObject_GetAttr(leaf, str_runnable);
-    if (flag == NULL) {
-        Py_DECREF(leaf);
-        return -1;
-    }
-    int leaf_runnable = PyObject_IsTrue(flag);
-    Py_DECREF(flag);
-    if (leaf_runnable < 0) {
-        Py_DECREF(leaf);
-        return -1;
-    }
-    rc = 0;
-    if (!leaf_runnable) {
-        if (PyObject_SetAttr(leaf, str_runnable, Py_True) < 0) {
-            rc = -1;
-        }
-        else {
-            PyObject *chain = chain_for(sched, leaf);
-            if (chain == NULL)
-                rc = -1;
-            else {
-                rc = wake_chain_impl(chain);
-                Py_DECREF(chain);
-            }
-        }
-    }
-    Py_DECREF(leaf);
-    return rc;
-}
-
-/* Machine._make_runnable with tracing known to be off, including the
- * trailing preempt check and re-dispatch. */
-static int
-wake_make_runnable(PyObject *machine, PyObject *engine, PyObject *sched,
-                   PyObject *thread, PyObject *now)
-{
-    if (thread_to_runnable(thread) < 0)
-        return -1;
-    if (PyObject_SetAttr(thread, str_last_runnable_at, now) < 0)
-        return -1;
-    if (h_thread_runnable(sched, thread, now) < 0)
-        return -1;
-    PyObject *cur = PyObject_GetAttr(machine, str_current);
-    if (cur == NULL)
-        return -1;
-    if (cur != Py_None) {
-        PyObject *until = PyObject_GetAttr(machine, str_paused_until);
-        if (until == NULL) {
-            Py_DECREF(cur);
-            return -1;
-        }
-        int paused = PyObject_RichCompareBool(now, until, Py_LE);
-        Py_DECREF(until);
-        if (paused < 0) {
-            Py_DECREF(cur);
-            return -1;
-        }
-        if (!paused) {
-            int preempt = 0;
-            int consult = 1;
-            if (Py_TYPE(sched) == HierType) {
-                /* PREEMPT_NONE (the default) always answers False */
-                PyObject *pol = PyObject_GetAttr(sched, str_preempt_policy);
-                if (pol == NULL) {
-                    Py_DECREF(cur);
-                    return -1;
-                }
-                if (PyUnicode_Check(pol) &&
-                    PyUnicode_CompareWithASCIIString(pol, "none") == 0)
-                    consult = 0;
-                Py_DECREF(pol);
-            }
-            if (consult) {
-                PyObject *verdict = PyObject_CallMethodObjArgs(
-                    sched, str_should_preempt, cur, thread, now, NULL);
-                if (verdict == NULL) {
-                    Py_DECREF(cur);
-                    return -1;
-                }
-                preempt = PyObject_IsTrue(verdict);
-                Py_DECREF(verdict);
-                if (preempt < 0) {
-                    Py_DECREF(cur);
-                    return -1;
-                }
-            }
-            if (preempt && call0(machine, str_preempt_current) < 0) {
-                Py_DECREF(cur);
-                return -1;
-            }
-        }
-    }
-    Py_DECREF(cur);
-    return tick_dispatch(machine, engine, sched, now);
-}
-
-/* Machine._settle with tracing known to be off */
-static int
-wake_settle(PyObject *machine, PyObject *engine, PyObject *sched,
-            PyObject *thread, PyObject *now)
-{
-    PyObject *result = PyObject_CallMethodObjArgs(
-        machine, str_advance_workload, thread, NULL);
-    if (result == NULL)
-        return -1;
-    if (!PyTuple_Check(result) || PyTuple_GET_SIZE(result) != 2) {
-        Py_DECREF(result);
-        PyErr_SetString(PyExc_TypeError,
-                        "_advance_workload must return (outcome, wake_time)");
-        return -1;
-    }
-    int outcome = outcome_code(PyTuple_GET_ITEM(result, 0));
-    PyObject *wake = PyTuple_GET_ITEM(result, 1);
-    Py_INCREF(wake);
-    Py_DECREF(result);
-    int rc = 0;
-    if (outcome == OC_RUN) {
-        rc = wake_make_runnable(machine, engine, sched, thread, now);
-    }
-    else if (outcome == OC_SLEEP || outcome == OC_WAIT) {
-        PyObject *state = PyObject_GetAttr(thread, str_state);
-        if (state == NULL) {
-            rc = -1;
-        }
-        else {
-            int sleeping = (state == TS_SLEEPING);
-            Py_DECREF(state);
-            if (!sleeping)
-                rc = call1(thread, str_transition, TS_SLEEPING);
-        }
-        if (rc == 0 && outcome == OC_SLEEP)
-            rc = schedule_wake(machine, engine, thread, wake);
-    }
-    else {
-        rc = call1(thread, str_transition, TS_EXITED);
-        if (rc == 0) {
-            PyObject *tstats = PyObject_GetAttr(thread, str_stats);
-            if (tstats == NULL)
-                rc = -1;
-            else {
-                rc = PyObject_SetAttr(tstats, str_exited_at, now);
-                Py_DECREF(tstats);
-            }
-        }
-        if (rc == 0) {
-            PyObject *held = PyObject_GetAttr(thread, str_held_mutexes);
-            if (held == NULL)
-                rc = -1;
-            else {
-                int holding = PyObject_IsTrue(held);
-                Py_DECREF(held);
-                if (holding < 0)
-                    rc = -1;
-                else if (holding)
-                    rc = call1(machine, str_release_held_mutexes, thread);
-            }
-        }
-        if (rc == 0)
-            rc = call2(sched, str_retire, thread, now);
-    }
-    Py_DECREF(wake);
-    return rc;
-}
-
-/* Machine._on_wakeup, scheduled by schedule_wake with (machine, thread)
- * packed as the event argument. */
-static PyObject *
-sfqc_machine_wake(PyObject *Py_UNUSED(module), PyObject *pair)
-{
-    if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "machine_wake expects a (machine, thread) pair");
-        return NULL;
-    }
-    PyObject *machine = PyTuple_GET_ITEM(pair, 0);
-    PyObject *thread = PyTuple_GET_ITEM(pair, 1);
-    if (ensure_machine_state() < 0)
-        return NULL;
-    /* observation turned on since the wakeup was scheduled: Python owns it */
-    int observed = machine_observed(machine);
-    if (observed < 0)
-        return NULL;
-    if (observed)
-        return PyObject_CallMethodObjArgs(machine, str_on_wakeup, thread,
-                                          NULL);
-    if (PyObject_SetAttr(thread, str_wakeup_handle, Py_None) < 0)
-        return NULL;
-    {
-        PyObject *tstats = PyObject_GetAttr(thread, str_stats);
-        if (tstats == NULL)
-            return NULL;
-        int rc = attr_iadd(tstats, str_wakeups, long_one);
-        Py_DECREF(tstats);
-        if (rc < 0)
-            return NULL;
-    }
-    PyObject *engine = PyObject_GetAttr(machine, str_engine);
-    if (engine == NULL)
-        return NULL;
-    PyObject *now = PyObject_GetAttr(engine, str_now);
-    PyObject *sched = now ? PyObject_GetAttr(machine, str_scheduler) : NULL;
-    if (sched == NULL) {
-        Py_XDECREF(now);
-        Py_DECREF(engine);
-        return NULL;
-    }
-    PyObject *remaining = PyObject_GetAttr(thread, str_remaining_work);
-    int rc;
-    if (remaining == NULL) {
-        rc = -1;
-    }
-    else {
-        int has_work = PyObject_RichCompareBool(remaining, long_zero, Py_GT);
-        Py_DECREF(remaining);
-        if (has_work < 0)
-            rc = -1;
-        else if (has_work)
-            rc = wake_make_runnable(machine, engine, sched, thread, now);
-        else
-            rc = wake_settle(machine, engine, sched, thread, now);
-    }
-    Py_DECREF(sched);
-    Py_DECREF(now);
-    Py_DECREF(engine);
-    if (rc < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* Simulator.run_until's drain loop: pop due events and fire them.  The
- * caller (run_until) owns the _running guard and the final clock
- * assignment; exceptions from callbacks propagate exactly as in the
- * pure loop. */
-static PyObject *
-sfqc_sim_drain(PyObject *Py_UNUSED(module), PyObject *const *args,
-               Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "sim_drain expects (sim, time)");
-        return NULL;
-    }
-    PyObject *sim = args[0], *horizon = args[1];
-    PyObject *queue = PyObject_GetAttr(sim, str_equeue);
-    if (queue == NULL)
-        return NULL;
-    PyObject *heap = PyObject_GetAttr(queue, str_eheap);
-    if (heap == NULL) {
-        Py_DECREF(queue);
-        return NULL;
-    }
-    if (!PyList_Check(heap)) {
-        PyErr_SetString(PyExc_TypeError, "event heap must be a list");
-        goto fail;
-    }
-    while (PyList_GET_SIZE(heap) > 0) {
-        PyObject *head = PyList_GET_ITEM(heap, 0);
-        Py_INCREF(head);
-        if (!PyTuple_Check(head) || PyTuple_GET_SIZE(head) != 4) {
-            Py_DECREF(head);
-            PyErr_SetString(PyExc_TypeError, "malformed event entry");
-            goto fail;
-        }
-        PyObject *handle = PyTuple_GET_ITEM(head, 3);
-        PyObject *flag = PyObject_GetAttr(handle, str_cancelled);
-        if (flag == NULL) {
-            Py_DECREF(head);
-            goto fail;
-        }
-        int cancelled = PyObject_IsTrue(flag);
-        Py_DECREF(flag);
-        if (cancelled < 0) {
-            Py_DECREF(head);
-            goto fail;
-        }
-        if (cancelled) {
-            int rc = heap_discard_min_cmp(heap, event_entry_lt);
-            Py_DECREF(head);
-            if (rc < 0)
-                goto fail;
-            continue;
-        }
-        int late = PyObject_RichCompareBool(PyTuple_GET_ITEM(head, 0),
-                                            horizon, Py_GT);
-        if (late < 0) {
-            Py_DECREF(head);
-            goto fail;
-        }
-        if (late) {
-            Py_DECREF(head);
-            break;
-        }
-        if (heap_discard_min_cmp(heap, event_entry_lt) < 0 ||
-            attr_iadd(queue, str_elive, long_neg_one) < 0 ||
-            PyObject_SetAttr(sim, str_now, PyTuple_GET_ITEM(head, 0)) < 0 ||
-            attr_iadd(sim, str_fired, long_one) < 0) {
-            Py_DECREF(head);
-            goto fail;
-        }
-        PyObject *callback = PyObject_GetAttr(handle, str_callback);
-        PyObject *cb_arg = callback == NULL
-            ? NULL : PyObject_GetAttr(handle, str_arg);
-        if (callback == NULL || cb_arg == NULL) {
-            Py_XDECREF(callback);
-            Py_DECREF(head);
-            goto fail;
-        }
-        /* handle.cancel(): release the fired handle's references */
-        if (PyObject_SetAttr(handle, str_cancelled, Py_True) < 0 ||
-            PyObject_SetAttr(handle, str_callback, Py_None) < 0 ||
-            PyObject_SetAttr(handle, str_arg, Py_None) < 0) {
-            Py_DECREF(callback);
-            Py_DECREF(cb_arg);
-            Py_DECREF(head);
-            goto fail;
-        }
-        PyObject *result;
-        if (callback == Py_None) {
-            result = Py_None;
-            Py_INCREF(result);
-        }
-        else if (cb_arg == Py_None)
-            result = PyObject_CallNoArgs(callback);
-        else
-            result = PyObject_CallOneArg(callback, cb_arg);
-        Py_DECREF(callback);
-        Py_DECREF(cb_arg);
-        Py_DECREF(head);
-        if (result == NULL)
-            goto fail;
-        Py_DECREF(result);
-    }
-    Py_DECREF(heap);
-    Py_DECREF(queue);
-    Py_RETURN_NONE;
-fail:
-    Py_DECREF(heap);
-    Py_DECREF(queue);
-    return NULL;
-}
-
 /* ---- module ------------------------------------------------------------- */
 
 static PyMethodDef sfqc_methods[] = {
@@ -2490,11 +2074,6 @@ static PyMethodDef sfqc_methods[] = {
      "Propagate leaf idleness up a precomputed ancestor chain."},
     {"machine_tick", (PyCFunction)sfqc_machine_tick, METH_O,
      "Machine burst-completion cycle: account, finish, re-dispatch."},
-    {"machine_wake", (PyCFunction)sfqc_machine_wake, METH_O,
-     "Machine wakeup event: make the thread runnable and re-dispatch."},
-    {"sim_drain", (PyCFunction)(void (*)(void))sfqc_sim_drain,
-     METH_FASTCALL,
-     "Simulator.run_until drain loop: pop due events and fire them."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2516,7 +2095,6 @@ static struct {
     {&str_advance, "advance"},
     {&str_runnable, "runnable"},
     {&str_queue, "queue"},
-    {&str_parent, "parent"},
     {&str_active, "active"},
     {&str_bus, "_bus"},
     {&str_engine, "engine"},
@@ -2571,21 +2149,12 @@ static struct {
     {&str_eheap, "_heap"},
     {&str_eseq, "_seq"},
     {&str_elive, "_live"},
-    {&str_fired, "_fired"},
     {&str_callback, "callback"},
     {&str_arg, "arg"},
     {&str_cancelled, "_cancelled"},
     {&str_time, "time"},
     {&str_priority, "priority"},
     {&str_seq_attr, "seq"},
-    {&str_turbo_wake, "_turbo_wake"},
-    {&str_wakeups, "wakeups"},
-    {&str_transition, "transition"},
-    {&str_last_runnable_at, "last_runnable_at"},
-    {&str_thread_runnable, "thread_runnable"},
-    {&str_preempt_policy, "preempt_policy"},
-    {&str_should_preempt, "should_preempt"},
-    {&str_preempt_current, "_preempt_current"},
     {NULL, NULL},
 };
 

@@ -1,8 +1,11 @@
 """Engine selection for the SFQ hot path (``REPRO_ENGINE=pure|compiled``).
 
-The scheduler core has two interchangeable engines for its hot functions
-(the per-dispatch tree descent, the ancestor-chain walks, and the
-per-queue SFQ operations in :mod:`repro.core.sfq`):
+The scheduler core has two interchangeable engines for its hot functions:
+the four chain walks (the per-dispatch tree descent ``pick_leaf`` and the
+``charge_chain``/``wake_chain``/``sleep_chain`` ancestor walks), the four
+per-queue SFQ operations in :mod:`repro.core.sfq`, and the uniprocessor
+machine's burst-completion tick (``machine_tick``, installed by
+:class:`repro.cpu.machine.Machine`):
 
 ``pure``
     The pure-python reference implementations defined in ``sfq.py``.
@@ -17,7 +20,8 @@ per-queue SFQ operations in :mod:`repro.core.sfq`):
 
 Selection is explicit and happens once, at import time: ``sfq.py``
 imports this module at the end of its body and rebinds its module-level
-hot names to the compiled entry points when ``OPS`` is not ``None``.
+hot names to the compiled entry points when ``OPS`` is not ``None``, and
+``cpu/machine.py`` reads the tick from ``OPS`` the same way.
 There is no per-call dispatch — downstream modules simply import the
 names and get whichever engine the process selected.
 
@@ -58,7 +62,7 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sfqc.c")
 #: the hot-path entry points every compiled engine must provide
 _OP_NAMES = ("pick_leaf", "charge_chain", "wake_chain", "sleep_chain",
              "queue_pick", "queue_charge", "queue_set_runnable",
-             "queue_set_blocked", "machine_tick", "machine_wake", "sim_drain")
+             "queue_set_blocked", "machine_tick")
 
 
 def _cache_dir() -> str:

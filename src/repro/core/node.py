@@ -27,8 +27,9 @@ class Node:
 
     def __init__(self, name: str, weight: int,
                  parent: Optional["InternalNode"]) -> None:
-        if weight <= 0:
-            raise StructureError("node weight must be positive, got %r" % (weight,))
+        if not isinstance(weight, int) or weight <= 0:
+            raise StructureError(
+                "node weight must be a positive int, got %r" % (weight,))
         if parent is not None and ("/" in name or not name):
             raise StructureError("invalid node name %r" % (name,))
         self.name = name
@@ -66,8 +67,9 @@ class Node:
 
         Takes effect at the next tag stamping (see DESIGN.md §5).
         """
-        if weight <= 0:
-            raise StructureError("node weight must be positive, got %r" % (weight,))
+        if not isinstance(weight, int) or weight <= 0:
+            raise StructureError(
+                "node weight must be a positive int, got %r" % (weight,))
         self.weight = weight
 
     def __repr__(self) -> str:

@@ -64,12 +64,6 @@ from repro.units import MS, SECOND, work_from_time
 #: in service) and bails to the Python methods for everything else.
 _TURBO_TICK = getattr(_ENGINE_OPS, "machine_tick", None)
 
-#: compiled wakeup entry (None on the pure engine).  Scheduled in place of
-#: ``_on_wakeup`` with a ``(machine, thread)`` pair as the event argument;
-#: like the turbo tick it re-checks ``_bus.active`` at fire time and
-#: delegates to ``_on_wakeup`` whenever the simplified path does not apply.
-_TURBO_WAKE = getattr(_ENGINE_OPS, "machine_wake", None)
-
 _OUTCOME_RUN = "run"
 _OUTCOME_SLEEP = "sleep"
 _OUTCOME_WAIT = "wait"  # blocked on a mutex; woken by the holder's release
@@ -136,8 +130,6 @@ class MachineBase:
         #: the run's bus; every emit site below gates on ``self._bus.active``
         self._bus = engine.bus
         self.threads: List[SimThread] = []
-        #: compiled wakeup entry scheduled in place of ``_on_wakeup``, or None
-        self._turbo_wake = None
 
         # Hierarchical schedulers want a clock for hsfq_move bookkeeping.
         if hasattr(scheduler, "clock"):
@@ -252,14 +244,8 @@ class MachineBase:
         if self._bus.active:
             self._bus.emit(obs.BLOCK_SHAPE, self.engine.now, thread.tid,
                            _leaf_path(thread), wake_time)
-        if self._turbo_wake is not None:
-            thread.wakeup_handle = self.engine.at(
-                wake_time, self._turbo_wake, (self, thread),
-                priority=self.PRIORITY_WAKEUP)
-        else:
-            thread.wakeup_handle = self.engine.at(
-                wake_time, self._on_wakeup, thread,
-                priority=self.PRIORITY_WAKEUP)
+        thread.wakeup_handle = self.engine.at(
+            wake_time, self._on_wakeup, thread, priority=self.PRIORITY_WAKEUP)
 
     def _on_wakeup(self, thread: SimThread) -> None:
         thread.wakeup_handle = None
@@ -335,7 +321,6 @@ class Machine(MachineBase):
         # delegates back to the Python methods, so installation is
         # unconditional beyond the exact-type check.
         self._turbo = _TURBO_TICK if type(self) is Machine else None
-        self._turbo_wake = _TURBO_WAKE if type(self) is Machine else None
 
         # --- interrupt state ------------------------------------------------
         self._intr_busy_until = 0

@@ -10,8 +10,8 @@ subprocesses and byte-compares two probes per workload:
     engines run their traced paths).  One formatted line per event.
 
 ``schedstat``
-    An untraced run — the regime where the compiled turbo tick/wake
-    paths actually engage — followed by a canonical dump of every
+    An untraced run — the regime where the compiled turbo tick
+    actually engages — followed by a canonical dump of every
     machine, engine, and per-thread counter.  If a compiled fast path
     drops or double-counts anything, it shows up here.
 

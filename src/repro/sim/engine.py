@@ -16,15 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.core.engine import OPS as _ENGINE_OPS
 from repro.errors import SimulationError
 from repro.obs import events as obs
 from repro.sim.events import EventHandle, EventQueue
-
-#: compiled drain loop (None on the pure engine).  ``sim_drain`` mirrors
-#: run_until's inner loop over the same ``_queue``/``_heap`` state, firing
-#: one event at a time in (time, priority, seq) order.
-_SIM_DRAIN = getattr(_ENGINE_OPS, "sim_drain", None)
 
 
 class Simulator:
@@ -125,23 +119,20 @@ class Simulator:
         # order.
         queue = self._queue
         try:
-            if _SIM_DRAIN is not None:
-                _SIM_DRAIN(self, time)
-            else:
-                while True:
-                    handle = queue.pop_due(time)
-                    if handle is None:
-                        break
-                    self.now = handle.time
-                    self._fired += 1
-                    callback = handle.callback
-                    arg = handle.arg
-                    handle.cancel()
-                    if callback is not None:
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
+            while True:
+                handle = queue.pop_due(time)
+                if handle is None:
+                    break
+                self.now = handle.time
+                self._fired += 1
+                callback = handle.callback
+                arg = handle.arg
+                handle.cancel()
+                if callback is not None:
+                    if arg is None:
+                        callback()
+                    else:
+                        callback(arg)
         finally:
             self._running = False
         self.now = time

@@ -57,7 +57,7 @@ class SimThread:
         The :class:`~repro.threads.segments.Workload` describing behaviour.
     weight:
         Share weight used by proportional-share leaf schedulers (SFQ,
-        lottery, stride).  Must be positive.
+        lottery, stride).  A positive ``int``.
     params:
         Scheduler-specific parameters (e.g. ``{"period": ..., "wcet": ...}``
         for RMA/EDF leaves, ``{"priority": ...}`` for the SVR4 leaf).
@@ -69,8 +69,9 @@ class SimThread:
 
     def __init__(self, name: str, workload: Workload, weight: int = 1,
                  params: Optional[Dict[str, Any]] = None) -> None:
-        if weight <= 0:
-            raise ValueError("thread weight must be positive, got %r" % (weight,))
+        if not isinstance(weight, int) or weight <= 0:
+            raise ValueError(
+                "thread weight must be a positive int, got %r" % (weight,))
         #: the run's thread id, stamped at spawn (0 until then)
         self.tid = 0
         self.name = name
@@ -114,8 +115,9 @@ class SimThread:
 
     def set_weight(self, weight: int) -> None:
         """Change the thread's share weight (takes effect at next stamping)."""
-        if weight <= 0:
-            raise ValueError("thread weight must be positive, got %r" % (weight,))
+        if not isinstance(weight, int) or weight <= 0:
+            raise ValueError(
+                "thread weight must be a positive int, got %r" % (weight,))
         self.weight = weight
 
     def __repr__(self) -> str:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import engine as engine_mod
 from repro.devtools import enginediff
+from repro.devtools.schedflow import cext
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -90,6 +91,13 @@ class TestBuildCache:
             pytest.skip("pure engine selected; ops exported only compiled")
         for name in engine_mod._OP_NAMES:
             assert callable(getattr(engine_mod.OPS, name))
+
+    def test_op_names_match_the_c_method_table(self):
+        """Read from the source, so the pure leg checks it too."""
+        with open(engine_mod._C_SOURCE) as handle:
+            module = cext.extract(handle.read(), engine_mod._C_SOURCE)
+        exported = [name for name, _symbol, _line in module.method_table]
+        assert sorted(exported) == sorted(engine_mod._OP_NAMES)
 
 
 class TestEnginediffProbes:

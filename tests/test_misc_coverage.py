@@ -173,5 +173,7 @@ class TestLeafNodeState:
     def test_weight_validation_on_node(self):
         structure = SchedulingStructure()
         node = structure.mknod("/n", 1)
-        with pytest.raises(StructureError):
-            node.set_weight(0)
+        for weight in (0, float("nan"), 2.5, Fraction(5, 2)):
+            with pytest.raises(StructureError):
+                node.set_weight(weight)
+        assert node.weight == 1

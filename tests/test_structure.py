@@ -1,5 +1,7 @@
 """The scheduling structure: mknod / parse / rmnod / move / admin."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.node import InternalNode, LeafNode
@@ -68,8 +70,9 @@ class TestMknod:
             structure.mknod("/a/b/c", 1)
 
     def test_zero_weight_rejected(self, structure):
-        with pytest.raises(StructureError):
-            structure.mknod("/apps", 0)
+        for weight in (0, float("nan"), 2.5, Fraction(5, 2)):
+            with pytest.raises(StructureError):
+                structure.mknod("/apps", weight)
 
     def test_root_creation_rejected(self, structure):
         with pytest.raises(StructureError):

@@ -1,5 +1,7 @@
 """Thread model: states, segments, SimThread."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.cpu.flat import FlatScheduler
@@ -134,15 +136,18 @@ class TestSimThread:
         assert not thread.alive
 
     def test_weight_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimThread("x", SegmentListWorkload([]), weight=0)
+        for weight in (0, float("nan"), 2.5, Fraction(5, 2)):
+            with pytest.raises(ValueError):
+                SimThread("x", SegmentListWorkload([]), weight=weight)
 
     def test_set_weight_validates(self):
         thread = self.make()
         thread.set_weight(5)
         assert thread.weight == 5
-        with pytest.raises(ValueError):
-            thread.set_weight(-1)
+        for weight in (-1, float("nan"), 2.5, Fraction(5, 2)):
+            with pytest.raises(ValueError):
+                thread.set_weight(weight)
+        assert thread.weight == 5
 
     def test_params_are_copied(self):
         params = {"period": 1}

@@ -69,18 +69,20 @@ class TestScaleStorm:
 
 
 class TestEnginediffCounts:
-    """enginediff's scenarios, untraced, so the compiled turbo paths run."""
+    """enginediff's scenarios, untraced, so the compiled turbo tick runs."""
 
     @pytest.mark.parametrize("scenario, horizon, counts", [
-        ("figure5", 2 * SECOND, (169, 3, 150, 150, 0, 0)),
-        ("depth8", 500 * MS, (473, 3, 341, 309, 0, 0)),
-        ("figure8", 2 * SECOND, (329, 2, 121, 121, 206, 204)),
+        ("figure5", 2 * SECOND, (169, 3, 150, 150, 0, 0, 22, 20)),
+        ("depth8", 500 * MS, (473, 3, 341, 309, 0, 0, 135, 133)),
+        ("figure8", 2 * SECOND, (329, 2, 121, 121, 206, 204, 3, 3)),
     ])
     def test_counts(self, scenario, horizon, counts):
         machine, __, ___ = enginediff.SCENARIOS[scenario]()
         machine.run_until(horizon)
         engine = machine.engine
         stats = machine.stats
+        per_thread = [thread.stats for thread in machine.threads]
         assert (engine.events_fired, engine.pending_events, stats.dispatches,
-                stats.context_switches, stats.interrupts,
-                stats.pauses) == counts
+                stats.context_switches, stats.interrupts, stats.pauses,
+                sum(s.blocks for s in per_thread),
+                sum(s.wakeups for s in per_thread)) == counts
