@@ -9,9 +9,10 @@ event:
 * **off** — no collector; the Recorder is the run bus's only
   subscriber;
 * **binlog (deferred capture)** — :class:`BinaryTraceWriter` in
-  ``defer=True`` mode: capture appends raw triples, encoding happens at
-  seal.  The cheap leave-it-on path (target ≤1.5x off); the seal cost is
-  measured separately;
+  ``defer=True`` mode: capture appends each record's shape, time and
+  values to one flat list, encoding happens at seal.  The cheap
+  leave-it-on path (target ≤1.5x off); the seal cost is measured
+  separately;
 * **binlog (streaming)** — the writer encoding inline with bounded
   memory, for million-event runs;
 * **full stack** — per-node schedstats plus the Chrome-trace builder,
@@ -79,13 +80,15 @@ def run_figure5(*factories: Callable[[], Any]
             collector = factory()
             setup.engine.bus.subscribe(collector)
             collectors.append(collector)
+        # the arm's private run bus: its Recorder plus these collectors,
+        # whatever the process bus carries
+        assert setup.engine.bus.subscriber_count() == 1 + len(factories)
         # figure5.run's defaults: five Dhrystones, daemon seed 11
         arms.append((setup, figure5.run_arm(setup, 5, DURATION, 11)))
     return figure5.compare(arms[0], arms[1], DURATION), collectors
 
 
 def run_plain():
-    assert not ev.BUS.active
     return run_figure5()[0]
 
 
@@ -184,8 +187,8 @@ def measure(rounds: int = 12,
     run_plain()
     counts: Dict[str, int] = {}
 
-    def count(event: ev.Event) -> None:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
+    def count(shape: ev.Shape, time: int, values: Tuple[Any, ...]) -> None:
+        counts[shape.kind] = counts.get(shape.kind, 0) + 1
 
     run_figure5(lambda: count)
     events_total = sum(counts.values())

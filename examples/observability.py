@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.cpu.interrupts import PeriodicInterruptSource
 from repro.obs import BUS, SchedulerMetrics
-from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter
+from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter, replay
 from repro.obs.chrometrace import ChromeTraceBuilder
 from repro.obs.schedstat import SchedStat, render_schedstat
 from repro.sim.rng import make_rng
@@ -105,8 +105,7 @@ def main() -> None:
     print("sealed binlog: %d events in %d bytes (%.1f bytes/event)"
           % (len(reader), len(raw), len(raw) / len(reader)))
     replayed = ChromeTraceBuilder()
-    for event in reader:
-        replayed(event)
+    replay(reader, replayed)
     print("offline replay reproduces the live Chrome trace byte for "
           "byte: %s" % (replayed.to_json() == trace.to_json()))
 

@@ -27,7 +27,7 @@ class Node:
 
     def __init__(self, name: str, weight: int,
                  parent: Optional["InternalNode"]) -> None:
-        if not isinstance(weight, int) or weight <= 0:
+        if type(weight) is not int or weight <= 0:
             raise StructureError(
                 "node weight must be a positive int, got %r" % (weight,))
         if parent is not None and ("/" in name or not name):
@@ -67,7 +67,7 @@ class Node:
 
         Takes effect at the next tag stamping (see DESIGN.md §5).
         """
-        if not isinstance(weight, int) or weight <= 0:
+        if type(weight) is not int or weight <= 0:
             raise StructureError(
                 "node weight must be a positive int, got %r" % (weight,))
         self.weight = weight

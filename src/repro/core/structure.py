@@ -183,7 +183,7 @@ class SchedulingStructure:
         if cmd == ADMIN_GET_WEIGHT:
             return node.weight
         if cmd == ADMIN_SET_WEIGHT:
-            node.set_weight(int(args))
+            node.set_weight(args)
             return node.weight
         if cmd == ADMIN_INFO:
             info = {

@@ -44,7 +44,7 @@ import difflib
 import os
 import subprocess
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
@@ -159,17 +159,18 @@ SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {
 }
 
 
-def format_event(event: obs.Event) -> str:
-    """One canonical text line per bus event (sorted fields, repr values)."""
-    fields = ",".join(
-        "%s=%r" % (key, event.data[key]) for key in sorted(event.data))
-    return "%s t=%d %s" % (event.kind, event.time, fields)
+def format_event(shape: obs.Shape, time: int, values: Tuple[Any, ...]
+                 ) -> str:
+    """One canonical text line per bus record (sorted fields, repr values)."""
+    data = dict(zip(shape.fields, values))
+    fields = ",".join("%s=%r" % (key, data[key]) for key in sorted(data))
+    return "%s t=%d %s" % (shape.kind, time, fields)
 
 
 def _trace_lines(builder: Callable[..., ScenarioRun]) -> List[str]:
     lines: List[str] = []
     with obs.BUS.subscription(
-            lambda event: lines.append(format_event(event))):
+            lambda *record: lines.append(format_event(*record))):
         machine, __, horizon = builder()
         machine.run_until(horizon)
     return lines

@@ -18,8 +18,9 @@ statically:
 * **Emit context.**  Callables registered on an observability event bus
   (``BUS.subscribe``/``BUS.subscription``) plus their callees: code that
   runs synchronously inside the simulator's emit sites.  A subscribed
-  object is rooted at its ``__call__`` and at its ``capture`` method,
-  the one the bus hands a capture consumer each record through.
+  object is rooted at its ``capture`` method, which the bus calls when
+  it has one, and at its ``__call__``; either is handed the record
+  ``(shape, time, values)``, so every parameter is the record.
 
 Rules:
 
@@ -672,24 +673,22 @@ class ParallelPass:
         entry = info.entry
         own = self._mutable_globals(entry)
         imported = self._imported_mutable_globals(entry)
-        event_params: List[str] = []
+        # a subscriber observes its whole record: shape, time, values
+        record_params: List[str] = []
         if direct:
-            params = info.params[1:] if info.is_method else info.params
-            # a capture consumer observes its whole record (shape, time,
-            # values); any other subscriber, its one event
-            event_params = (params if info.name == "capture"
-                            else params[:1])
+            record_params = (info.params[1:] if info.is_method
+                             else info.params)
 
         def flag_store(node: ast.AST, target: ast.AST) -> bool:
             root_name = _store_root(target) if isinstance(
                 target, (ast.Subscript, ast.Attribute)) else None
             if root_name is None:
                 return False
-            if root_name.id in event_params:
+            if root_name.id in record_params:
                 self._report(
                     findings, info, node, "SF405",
-                    "subscriber %r mutates the event it observes; "
-                    "subscribers must treat emitted events as read-only"
+                    "subscriber %r mutates the record it observes; "
+                    "subscribers must treat emitted records as read-only"
                     % info.name)
                 return True
             if (root_name.id in own or root_name.id in imported):

@@ -4,17 +4,18 @@ The package provides four layers, designed so that an un-instrumented run
 pays (almost) nothing:
 
 * :mod:`repro.obs.events` — the **event bus** of typed, timestamped
-  structured events (dispatch, preempt, block, wake, charge, tag-update,
-  vtime-advance, interrupt, sanitizer-violation, ...).  Each run emits on
-  its simulator's bus (the process-wide ``BUS`` unless a tracer gave the
-  run a private one).  Emit sites in the machines, the hierarchy, and the
-  fair-queuing baselines are guarded by ``self._bus.active``, so with no
-  subscriber attached no event object is ever constructed and simulation
-  results are byte-identical to an un-instrumented build.
+  ``(shape, time, values)`` records (dispatch, preempt, block, wake,
+  charge, tag-update, vtime-advance, interrupt, sanitizer-violation,
+  ...), which every subscriber takes as emitted.  Each run emits on its
+  simulator's bus (the process-wide ``BUS`` unless a tracer gave the
+  run a private one).  Emit sites in the machines, the hierarchy, and
+  the fair-queuing baselines are guarded by ``self._bus.active``, so
+  with no subscriber attached nothing is built and simulation results
+  are byte-identical to an un-instrumented build.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket latency
   histograms with a ``snapshot()`` API, plus :class:`SchedulerMetrics`, a
-  bus subscriber that derives dispatch latency, run delay, and quantum
-  statistics from the event stream.
+  bus capture consumer that derives dispatch latency, run delay, and
+  quantum statistics from the record stream.
 * :mod:`repro.obs.schedstat` — per-node cumulative scheduling statistics
   rendered as a ``/proc/schedstat``-style text tree from the live
   scheduling structure.
@@ -31,7 +32,7 @@ Only the dependency-free submodules are imported here (the emit sites in
 package initializer must not import them back).
 """
 
-from repro.obs.events import BUS, Event, EventBus
+from repro.obs.events import BUS, EventBus
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -41,6 +42,6 @@ from repro.obs.metrics import (
 )
 
 __all__ = [
-    "BUS", "Event", "EventBus",
+    "BUS", "EventBus",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "SchedulerMetrics",
 ]

@@ -6,9 +6,10 @@ a traced-off run and hold the whole trace in Python objects.  This module
 is the production capture path: :class:`BinaryTraceWriter` subscribes to
 the bus as a capture consumer, taking each record as it was emitted
 (shape, time, positional values), and streams it to disk in a compact
-pure-stdlib binary format; :class:`BinaryTraceReader` replays the file as
-the exact :class:`~repro.obs.events.Event` sequence that was captured, so
-every existing consumer can be fed offline::
+pure-stdlib binary format; :class:`BinaryTraceReader` reads the file back
+as the same ``(shape, time, values)`` records, and :func:`replay` hands
+them to each consumer through the entry point the live bus uses, so
+every consumer can be fed offline by the code that runs live::
 
     with BinaryTraceWriter("run.binlog") as writer, \\
             BUS.subscription(writer):
@@ -58,7 +59,7 @@ from typing import (
     Type,
 )
 
-from repro.obs.events import Event, Shape
+from repro.obs.events import SHAPES, Record, Shape, Subscriber, capture_of
 
 #: format identifier: the file magic is this string's first four bytes
 FORMAT = "repro.binlog/1"
@@ -199,21 +200,20 @@ def _compile_encoder(kind: str, keys: Tuple[str, ...],
                      writer: "BinaryTraceWriter") -> _Encoder:
     """Generate the positional ``encoder(time, values)`` for one schema.
 
-    The generated function is the whole encoding hot path, for every
-    input: streaming capture feeds it an iterator over the emitted
-    values, the deferred seal the pending list's own iterator, and Event
-    input the data dict's values.  It first reads exactly one value per
-    field, so the caller's iterator stays aligned whatever happens next.
-    It then delta-encodes the timestamp, type-checks each value, interns
-    strings, and appends the record head plus one C-level
-    ``struct``-packed slab in a single buffer append (the head rides
-    along as an ``Ns`` field).  Everything it needs is bound as argument
+    The generated function is the whole encoding hot path, for both
+    capture modes: streaming capture feeds it an iterator over the
+    emitted values, the deferred seal the pending list's own iterator.
+    It first reads exactly one value per field, so the caller's iterator
+    stays aligned whatever happens next.  It then delta-encodes the
+    timestamp, type-checks each value, interns strings, and appends the
+    record head plus one C-level ``struct``-packed slab in a single
+    buffer append (the head rides along as an ``Ns`` field).  Everything it needs is bound as argument
     defaults so the body touches no ``self`` (the buffer is cleared in
     place by ``_flush``, so the binding stays valid for the writer's
     lifetime).  A value that does not fit the declared type — drifted
     type, out-of-range int — routes the record to the writer's generic
-    path, which writes a self-describing record from the same dict the
-    bus would build; the writer's timestamp/count state advances only on
+    path, which writes a self-describing record from a dict of the
+    record's fields; the writer's timestamp/count state advances only on
     success, so the fallback re-encodes from untouched state.  With no
     ``head`` (a kind's later schema) every record goes to the writer's
     later-shape path instead.
@@ -299,10 +299,9 @@ class BinaryTraceWriter:
     open binary file object it writes and flushes but never closes it.
 
     On a bus the writer is a capture consumer: the bus hands it each
-    record as emitted, ``(shape, time, values)``, through :meth:`capture`.
-    Called with an :class:`~repro.obs.events.Event` (replay,
-    :func:`write_events`) it looks the event's ``(kind, fields)`` shape
-    up and captures the same record.
+    record as emitted, ``(shape, time, values)``, through :meth:`capture`,
+    its one record entry point (replay and :func:`write_events` use it
+    too).
 
     Two capture modes, producing byte-identical sealed files:
 
@@ -347,8 +346,6 @@ class BinaryTraceWriter:
         self._by_shape: Dict[Tuple[str, Tuple[str, ...]], _Schema] = {}
         #: each kind's first schema, the only one that writes fast records
         self._first: Dict[str, _Schema] = {}
-        #: the shape an Event input of each (kind, fields) captures as
-        self._event_shapes: Dict[Tuple[str, Tuple[str, ...]], Shape] = {}
         self._schema_count = 0
         #: [previous timestamp, events written] — shared mutable state
         #: the generated encoders update without attribute traffic
@@ -394,16 +391,6 @@ class BinaryTraceWriter:
             encoder(time, iter(values))
         else:
             self._unseen(shape, time, iter(values))
-
-    def __call__(self, event: Event) -> None:
-        """Subscriber entry point for :class:`Event` input (replay,
-        :func:`write_events`): captures the event's record."""
-        data = event.data
-        key = (event.kind, tuple(data))
-        shape = self._event_shapes.get(key)
-        if shape is None:
-            shape = self._event_shapes[key] = Shape(*key)
-        self.capture(shape, event.time, tuple(data.values()))
 
     def _unseen(self, shape: Shape, time: int, values: Iterator[Any]
                 ) -> None:
@@ -623,14 +610,14 @@ class BinaryTraceWriter:
 
 
 class _ReadSchema:
-    """Decoded schema definition: field names, types, slab geometry."""
+    """Decoded schema definition: its shape, field types, slab geometry."""
 
-    __slots__ = ("kind", "fields", "unpack", "size")
+    __slots__ = ("shape", "codes", "unpack", "size")
 
-    def __init__(self, kind: str, fields: List[Tuple[str, int]]) -> None:
-        self.kind = kind
-        self.fields = fields
-        fmt = "<q" + "".join(_STRUCT_CHAR[code] for __, code in fields
+    def __init__(self, shape: Shape, codes: Tuple[int, ...]) -> None:
+        self.shape = shape
+        self.codes = codes
+        fmt = "<q" + "".join(_STRUCT_CHAR[code] for code in codes
                              if code != _VAL_NONE)
         packer = struct.Struct(fmt)
         self.unpack = packer.unpack_from
@@ -638,12 +625,13 @@ class _ReadSchema:
 
 
 class BinaryTraceReader:
-    """Iterate a sealed binary log as the captured :class:`Event` stream.
+    """Iterate a sealed binary log as the captured ``(shape, time,
+    values)`` records, one shape object per ``(kind, fields)``.
 
     The whole file is validated up front — magic, version, structural
     integrity, footer count, and content hash — so iteration never yields
-    events from a log that would later turn out to be truncated.  Events
-    are decoded lazily, one per ``next()``.
+    records from a log that would later turn out to be truncated.
+    Records are decoded lazily, one per ``next()``.
     """
 
     def __init__(self, path_or_file: Any) -> None:
@@ -657,6 +645,10 @@ class BinaryTraceReader:
         self._string_count = 0
         self._schema_count = 0
         self._kinds: Dict[str, int] = {}
+        #: the one shape of each (kind, fields) the log holds: the
+        #: catalogue's own where it declares one, so identity-keyed folds
+        #: (the Recorder's) take replayed records on their live path
+        self._shapes = {(shape.kind, shape.fields): shape for shape in SHAPES}
         self._time_first: Optional[int] = None
         self._time_last: Optional[int] = None
         self.event_count = self._validate()
@@ -693,11 +685,11 @@ class BinaryTraceReader:
         # for info() fall out for free.
         kinds = self._kinds
         seen = 0
-        for event in self._decode():
-            kinds[event.kind] = kinds.get(event.kind, 0) + 1
+        for shape, time, __ in self._decode():
+            kinds[shape.kind] = kinds.get(shape.kind, 0) + 1
             if seen == 0:
-                self._time_first = event.time
-            self._time_last = event.time
+                self._time_first = time
+            self._time_last = time
             seen += 1
         if seen != count:
             raise BinlogError(
@@ -722,7 +714,14 @@ class BinaryTraceReader:
                 return result, pos
             shift += 7
 
-    def _decode(self) -> Iterator[Event]:
+    def _shape(self, kind: str, fields: Tuple[str, ...]) -> Shape:
+        """The log's one shape of ``(kind, fields)``."""
+        shape = self._shapes.get((kind, fields))
+        if shape is None:
+            shape = self._shapes[kind, fields] = Shape(kind, fields)
+        return shape
+
+    def _decode(self) -> Iterator[Record]:
         raw = self._raw
         end = self._body_end
         read_varint = self._read_varint
@@ -744,29 +743,29 @@ class BinaryTraceReader:
                 if pos + schema.size > end:
                     raise BinlogError("truncated binary trace: event slab "
                                       "runs past the footer")
-                values = schema.unpack(raw, pos)
+                slab = schema.unpack(raw, pos)
                 pos += schema.size
-                last_time += values[0]
-                data: Dict[str, Any] = {}
+                last_time += slab[0]
+                values: List[Any] = []
                 index = 1
                 try:
-                    for key, code in schema.fields:
+                    for code in schema.codes:
                         if code == _VAL_NONE:
-                            data[key] = None
+                            values.append(None)
                             continue
-                        value = values[index]
+                        value = slab[index]
                         index += 1
                         if code == _VAL_STR:
-                            data[key] = strings[value]
+                            values.append(strings[value])
                         elif code == _VAL_BOOL:
-                            data[key] = value != 0
+                            values.append(value != 0)
                         else:  # int slab slot or float slab slot
-                            data[key] = value
+                            values.append(value)
                 except IndexError:
                     raise BinlogError("corrupted binary trace: string id "
                                       "references an undefined table entry"
                                       ) from None
-                yield Event(schema.kind, last_time, data)
+                yield schema.shape, last_time, tuple(values)
                 continue
             if tag == _REC_STRING:
                 length, pos = read_varint(raw, pos)
@@ -780,7 +779,8 @@ class BinaryTraceReader:
             if tag == _REC_SCHEMA:
                 kind_id, pos = read_varint(raw, pos)
                 nfields, pos = read_varint(raw, pos)
-                fields: List[Tuple[str, int]] = []
+                keys: List[str] = []
+                codes: List[int] = []
                 try:
                     for __ in range(nfields):
                         key_id, pos = read_varint(raw, pos)
@@ -794,8 +794,11 @@ class BinaryTraceReader:
                             raise BinlogError("corrupted binary trace: "
                                               "unknown schema type 0x%02x"
                                               % code)
-                        fields.append((strings[key_id], code))
-                    schemas.append(_ReadSchema(strings[kind_id], fields))
+                        keys.append(strings[key_id])
+                        codes.append(code)
+                    schemas.append(_ReadSchema(
+                        self._shape(strings[kind_id], tuple(keys)),
+                        tuple(codes)))
                 except IndexError:
                     raise BinlogError("corrupted binary trace: string id "
                                       "references an undefined table entry"
@@ -809,7 +812,8 @@ class BinaryTraceReader:
             zigzag, pos = read_varint(raw, pos)
             last_time += decode_zigzag(zigzag)
             nfields, pos = read_varint(raw, pos)
-            generic: Dict[str, Any] = {}
+            keys = []
+            values = []
             try:
                 kind = strings[kind_id]
                 for __ in range(nfields):
@@ -842,14 +846,15 @@ class BinaryTraceReader:
                         raise BinlogError(
                             "corrupted binary trace: unknown value tag "
                             "0x%02x" % value_tag)
-                    generic[strings[key_id]] = value
+                    keys.append(strings[key_id])
+                    values.append(value)
             except IndexError:
                 raise BinlogError("corrupted binary trace: string id "
                                   "references an undefined table entry"
                                   ) from None
-            yield Event(kind, last_time, generic)
+            yield self._shape(kind, tuple(keys)), last_time, tuple(values)
 
-    def __iter__(self) -> Iterator[Event]:
+    def __iter__(self) -> Iterator[Record]:
         return self._decode()
 
     def __len__(self) -> int:
@@ -874,36 +879,38 @@ class BinaryTraceReader:
 # --- conveniences ------------------------------------------------------------
 
 
-def read_events(path_or_file: Any) -> Iterator[Event]:
-    """Validate ``path_or_file`` and iterate its events (convenience)."""
+def read_events(path_or_file: Any) -> Iterator[Record]:
+    """Validate ``path_or_file`` and iterate its records (convenience)."""
     return iter(BinaryTraceReader(path_or_file))
 
 
-def replay(source: Any, *subscribers: Any) -> int:
-    """Deliver a binlog's events to ``subscribers`` in capture order.
+def replay(source: Any, *subscribers: Subscriber) -> int:
+    """Deliver a binlog's records to ``subscribers`` in capture order.
 
     ``source`` is a path, open binary file, or :class:`BinaryTraceReader`.
-    Each subscriber is called exactly as the live bus would have called
-    it, so replaying through :class:`ChromeTraceBuilder` or
-    :class:`SchedStat` reproduces the live-collected state bit for bit.
-    Returns the number of events delivered.
+    Each subscriber is reached through the entry point the live bus uses
+    (:func:`~repro.obs.events.capture_of`), so replaying through
+    :class:`ChromeTraceBuilder` or :class:`SchedStat` runs the code live
+    collection runs and reproduces its state bit for bit.  Returns the
+    number of records delivered.
     """
     reader = (source if isinstance(source, BinaryTraceReader)
               else BinaryTraceReader(source))
+    captures = [capture_of(subscriber) for subscriber in subscribers]
     count = 0
-    for event in reader:
-        for subscriber in subscribers:
-            subscriber(event)
+    for shape, time, values in reader:
+        for capture in captures:
+            capture(shape, time, values)
         count += 1
     return count
 
 
-def write_events(events: Iterable[Event], path_or_file: Any) -> int:
-    """Encode an event stream into a sealed binlog (tests, converters).
+def write_events(records: Iterable[Record], path_or_file: Any) -> int:
+    """Encode records into a sealed binlog (tests, converters).
 
-    Returns the number of events written.
+    Returns the number of records written.
     """
     with BinaryTraceWriter(path_or_file) as writer:
-        for event in events:
-            writer(event)
+        for shape, time, values in records:
+            writer.capture(shape, time, values)
         return writer.event_count

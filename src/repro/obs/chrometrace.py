@@ -1,6 +1,6 @@
 """Chrome-trace / Perfetto export of an observability event stream.
 
-Converts bus events into `Trace Event Format
+Converts bus records into `Trace Event Format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 JSON — the format ``chrome://tracing`` and ``ui.perfetto.dev`` load
 natively.  Track layout:
@@ -29,7 +29,7 @@ Typical use::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
 
@@ -49,6 +49,11 @@ _INSTANT_KINDS = {  # schedlint: disable=SL007
     ev.EXIT: "exit",
 }
 
+#: the kinds a :class:`ChromeTraceBuilder` draws (dispatch, charge and
+#: tag-update carry no geometry; the slice stream is the exact span)
+_DRAWN = frozenset((ev.SLICE, ev.INTERRUPT, ev.VTIME_ADVANCE, ev.VIOLATION,
+                    ev.FAULT_INJECT, *_INSTANT_KINDS))
+
 
 def _us(time_ns: int) -> float:
     """Nanoseconds -> Trace Event Format microseconds."""
@@ -56,7 +61,7 @@ def _us(time_ns: int) -> float:
 
 
 class ChromeTraceBuilder:
-    """Event-bus subscriber building a Trace Event Format payload."""
+    """Event-bus capture consumer building a Trace Event Format payload."""
 
     def __init__(self) -> None:
         self._events: List[Dict[str, Any]] = []
@@ -67,29 +72,30 @@ class ChromeTraceBuilder:
 
     # --- subscriber -------------------------------------------------------
 
-    def __call__(self, event: ev.Event) -> None:
-        """Bus subscriber entry point: translate one event."""
+    def capture(self, shape: ev.Shape, time: int, values: Tuple[Any, ...]
+                ) -> None:
+        """Record entry point: translate one record."""
         self.event_count += 1
-        kind = event.kind
-        data = event.data
+        kind = shape.kind
+        if kind not in _DRAWN:
+            return
+        data = dict(zip(shape.fields, values))
         if kind == ev.SLICE:
-            self._on_slice(event.time, data)
+            self._on_slice(time, data)
         elif kind in _INSTANT_KINDS:
-            self._instant(_INSTANT_KINDS[kind], event.time,
+            self._instant(_INSTANT_KINDS[kind], time,
                           PID_THREADS, data.get("tid", 0), data)
         elif kind == ev.INTERRUPT:
-            self._instant("interrupt", event.time,
+            self._instant("interrupt", time,
                           PID_CPUS, data.get("cpu", 0), data)
         elif kind == ev.VTIME_ADVANCE:
-            self._on_vtime(event.time, data)
+            self._on_vtime(time, data)
         elif kind == ev.VIOLATION:
             self._instant("SCHEDSAN " + data.get("rule", "violation"),
-                          event.time, PID_VTIME, 0, data)
-        elif kind == ev.FAULT_INJECT:
+                          time, PID_VTIME, 0, data)
+        else:  # ev.FAULT_INJECT
             self._instant("FAULT " + data.get("fault", "unknown"),
-                          event.time, PID_CPUS, 0, data)
-        # dispatch/charge/tag-update carry no geometry of their own; the
-        # execution span is the slice stream, which is exact.
+                          time, PID_CPUS, 0, data)
 
     # --- translation ------------------------------------------------------
 

@@ -12,8 +12,8 @@ Subcommands:
   print per-track occupancy, instant counts, and counter-track summaries.
 * ``record OUT`` — run the same demo scenario capturing only a binary
   trace (:mod:`repro.obs.binlog`): the cheap path that scales to
-  million-event runs.  ``--defer`` buffers raw events in memory and
-  encodes at seal, for overhead-sensitive measurement runs.
+  million-event runs.  ``--defer`` keeps each record as emitted in
+  memory and encodes at seal, for overhead-sensitive measurement runs.
 * ``convert FILE`` — replay a binlog through the existing collectors:
   ``--chrome out.json`` (byte-identical to live collection),
   ``--schedstat`` (offline counter tree), ``--depth-gantt`` (hierarchy
@@ -174,7 +174,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_convert(args: argparse.Namespace) -> int:
     """Replay a binlog through the existing collectors and renderers."""
-    from repro.obs.binlog import BinaryTraceReader, BinlogError
+    from repro.obs.binlog import BinaryTraceReader, BinlogError, replay
     from repro.obs.schedstat import render_schedstat_paths
     from repro.viz.depth_gantt import depth_gantt
 
@@ -189,15 +189,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
         return 1
     if args.chrome:
         builder = ChromeTraceBuilder()
-        for event in reader:
-            builder(event)
+        replay(reader, builder)
         builder.write(args.chrome, indent=args.indent)
         print("wrote %s (%d events replayed) — open in ui.perfetto.dev"
               % (args.chrome, builder.event_count))
     if args.schedstat:
         stats = SchedStat()
-        for event in reader:
-            stats(event)
+        replay(reader, stats)
         print(render_schedstat_paths(stats))
     if args.depth_gantt:
         print(depth_gantt(reader, width=args.width))
@@ -257,8 +255,9 @@ def _parser() -> argparse.ArgumentParser:
     record.add_argument("--duration-ms", type=int, default=2000,
                         help="simulated milliseconds to run (default 2000)")
     record.add_argument("--defer", action="store_true",
-                        help="buffer raw events and encode at seal "
-                             "(lowest capture overhead, unbounded memory)")
+                        help="keep each record as emitted and encode at "
+                             "seal (lowest capture overhead, unbounded "
+                             "memory)")
     record.set_defaults(func=cmd_record)
     convert = sub.add_parser(
         "convert", help="replay a binlog through the existing collectors")

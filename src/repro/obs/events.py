@@ -14,12 +14,15 @@ positionally, so with no subscriber attached the guard is a single
 attribute read and nothing is built, and traced-off runs are
 byte-identical to an un-instrumented build.
 
-Subscribers are invoked synchronously, in subscription order.  One with
-a ``capture(shape, time, values)`` method (the binlog writer, the
-:class:`~repro.trace.recorder.Recorder`) is handed the record as it was
-emitted; any other subscriber is a plain callable and gets one shared
-:class:`Event` whose ``data`` maps the shape's fields to the values.
-Either way a subscriber must observe, never mutate, simulation state.
+The record ``(shape, time, values)`` is the only form an event takes.
+Subscribers are invoked synchronously, in subscription order, each with
+the record exactly as it was emitted: through the subscriber's
+``capture(shape, time, values)`` method if it has one (the binlog
+writer, the :class:`~repro.trace.recorder.Recorder`, the obs
+collectors), otherwise by calling the subscriber itself with the same
+three arguments.  A binlog replays the same records through the same
+lookup (:func:`capture_of`), so a replayed consumer runs the code a live
+one runs.  A subscriber must observe, never mutate, simulation state.
 
 Every site of a run emits on that run's bus, ``Simulator.bus``: the
 machine installs it on its scheduler (which hands it to the leaves that
@@ -37,7 +40,6 @@ import contextlib
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterator,
     List,
     Optional,
@@ -148,35 +150,26 @@ SHAPES = (
     WEIGHT_CHANGE_SHAPE,
 )
 
-Subscriber = Callable[["Event"], None]
-#: a capture consumer's ``capture(shape, time, values)`` method
+#: one record as emitted: its shape, its time, its values in field order
+Record = Tuple[Shape, int, Tuple[Any, ...]]
+#: a record entry point: ``capture(shape, time, values)``
 Capture = Callable[[Shape, int, Tuple[Any, ...]], None]
+#: an object with a :data:`Capture` method named ``capture``, or a
+#: :data:`Capture` itself
+Subscriber = Any
 
-#: bound allocator used by the emit hot path (see :meth:`EventBus.emit`)
-_new_event = object.__new__
 
+def capture_of(subscriber: Subscriber) -> Capture:
+    """The entry point a record reaches ``subscriber`` through: its
+    ``capture`` method if it has one, else the subscriber itself.
 
-class Event:
-    """One structured event: a kind, a simulation timestamp, and fields.
-
-    ``time`` is integer simulation nanoseconds; ``data`` is a flat dict of
-    event-kind-specific fields (see the kind constants above, or
-    docs/OBSERVABILITY.md for the full catalogue).
+    Raises :class:`TypeError` for an object that is neither.
     """
-
-    __slots__ = ("kind", "time", "data")
-
-    def __init__(self, kind: str, time: int, data: Dict[str, Any]) -> None:
-        self.kind = kind
-        self.time = time
-        self.data = data
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Field accessor with a default, like ``dict.get``."""
-        return self.data.get(key, default)
-
-    def __repr__(self) -> str:
-        return "Event(%s, t=%d, %r)" % (self.kind, self.time, self.data)
+    capture: Capture = getattr(subscriber, "capture", subscriber)
+    if not callable(capture):
+        raise TypeError("subscriber needs a capture method or must be "
+                        "callable, got %r" % (subscriber,))
+    return capture
 
 
 class EventBus:
@@ -188,7 +181,7 @@ class EventBus:
     and must not silently swallow errors.
     """
 
-    __slots__ = ("_subscribers", "active", "_routes", "_capture")
+    __slots__ = ("_subscribers", "active", "_captures", "_capture")
 
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
@@ -198,25 +191,23 @@ class EventBus:
         #: the disabled cost must be a single attribute load — no descriptor
         #: call, no list truth test.  Never assign it from outside the bus.
         self.active: bool = False
-        #: each subscriber with its ``capture`` method (None for a plain
-        #: callable), in subscription order; rebuilt on every change
-        self._routes: List[Tuple[Subscriber, Optional[Capture]]] = []
-        #: the sole subscriber's ``capture`` method, if it has one: emit
-        #: then calls it with no loop at all (the ``tracer=`` and binlog
-        #: cases)
+        #: each subscriber's entry point (see :func:`capture_of`), in
+        #: subscription order; rebuilt on every change
+        self._captures: Tuple[Capture, ...] = ()
+        #: the sole subscriber's entry point: emit then calls it with no
+        #: loop at all (the ``tracer=`` and binlog cases)
         self._capture: Optional[Capture] = None
 
     def _refresh(self) -> None:
-        routes = [(subscriber, getattr(subscriber, "capture", None))
-                  for subscriber in self._subscribers]
-        self._routes = routes
-        self._capture = routes[0][1] if len(routes) == 1 else None
-        self.active = bool(routes)
+        captures = tuple(map(capture_of, self._subscribers))
+        self._captures = captures
+        self._capture = captures[0] if len(captures) == 1 else None
+        self.active = bool(captures)
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        """Attach ``subscriber`` (a callable taking one event); returns it."""
-        if not callable(subscriber):
-            raise TypeError("subscriber must be callable, got %r" % (subscriber,))
+        """Attach ``subscriber`` (an object with a ``capture`` method, or
+        a callable taking ``(shape, time, values)``); returns it."""
+        capture_of(subscriber)
         self._subscribers.append(subscriber)
         self._refresh()
         return subscriber
@@ -260,31 +251,17 @@ class EventBus:
     def emit(self, shape: Shape, time: int, *values: Any) -> None:
         """Deliver one record of ``shape`` at ``time`` to every subscriber.
 
-        ``values`` are the shape's fields, positionally and in order.  A
-        subscriber with a ``capture`` method is handed
-        ``(shape, time, values)`` as they are; the others share one
-        ``Event(shape.kind, time, data)``, built only if one of them is
-        attached, whose ``data`` maps each field to its value.  Hot paths
-        still guard with :attr:`active`: the call itself packs ``values``.
+        ``values`` are the shape's fields, positionally and in order.
+        Every subscriber is handed ``(shape, time, values)`` as they are;
+        nothing is built for it.  Hot paths still guard with
+        :attr:`active`: the call itself packs ``values``.
         """
         capture = self._capture
         if capture is not None:
             capture(shape, time, values)
             return
-        event: Optional[Event] = None
-        for subscriber, capture in self._routes:
-            if capture is not None:
-                capture(shape, time, values)
-                continue
-            if event is None:
-                # Build the Event without the __init__ call: a plain
-                # constructor's extra frame is measurable at the
-                # bench_obs_overhead event rate.
-                event = _new_event(Event)
-                event.kind = shape.kind
-                event.time = time
-                event.data = dict(zip(shape.fields, values))
-            subscriber(event)
+        for capture in self._captures:
+            capture(shape, time, values)
 
 
 #: the process-wide default bus every emit site uses

@@ -5,7 +5,7 @@ telemetry, not a time-series database: metrics are named, cumulative, and
 cheap to update, and :meth:`MetricsRegistry.snapshot` returns plain dicts
 ready for JSON or table rendering.
 
-:class:`SchedulerMetrics` is an event-bus subscriber that derives the
+:class:`SchedulerMetrics` is an event-bus capture consumer that derives the
 latency distributions the paper reasons about (dispatch latency from
 runnable to CPU, run delay from wakeup to CPU, per-charge service quanta)
 from the structured event stream, so any instrumented run gets them for
@@ -30,6 +30,10 @@ DEFAULT_LATENCY_BUCKETS_NS: Tuple[int, ...] = (
     10_000, 100_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000,
     20_000_000, 50_000_000, 100_000_000, 500_000_000, 1_000_000_000,
 )
+
+#: the kinds a :class:`SchedulerMetrics` folds
+_FOLDED = frozenset((ev.RUNNABLE, ev.WAKE, ev.DISPATCH, ev.CHARGE,
+                     ev.PREEMPT, ev.INTERRUPT, ev.VIOLATION, ev.EXIT))
 
 #: default bucket upper bounds for per-quantum work (instructions)
 DEFAULT_WORK_BUCKETS: Tuple[int, ...] = (
@@ -252,7 +256,7 @@ class MetricsRegistry:
 
 
 class SchedulerMetrics:
-    """Event-bus subscriber deriving scheduler metrics from the stream.
+    """Capture consumer deriving scheduler metrics from the bus records.
 
     Maintains, in a :class:`MetricsRegistry`:
 
@@ -292,24 +296,27 @@ class SchedulerMetrics:
         self._overrun = reg.histogram("sched.quantum_overrun_work",
                                       DEFAULT_WORK_BUCKETS)
 
-    def __call__(self, event: ev.Event) -> None:
-        """Bus subscriber entry point: fold one event into the registry."""
-        kind = event.kind
-        data = event.data
+    def capture(self, shape: ev.Shape, time: int, values: Tuple[Any, ...]
+                ) -> None:
+        """Record entry point: fold one record into the registry."""
+        kind = shape.kind
+        if kind not in _FOLDED:
+            return
+        data = dict(zip(shape.fields, values))
         if kind == ev.RUNNABLE:
-            self._runnable_at.setdefault(data["tid"], event.time)
+            self._runnable_at.setdefault(data["tid"], time)
         elif kind == ev.WAKE:
-            self._woke_at[data["tid"]] = event.time
+            self._woke_at[data["tid"]] = time
         elif kind == ev.DISPATCH:
             tid = data["tid"]
             self._dispatches.inc()
             self._overhead.inc(data.get("overhead_ns", 0))
             runnable_at = self._runnable_at.pop(tid, None)
             if runnable_at is not None:
-                self._dispatch_latency.observe(event.time - runnable_at)
+                self._dispatch_latency.observe(time - runnable_at)
             woke_at = self._woke_at.pop(tid, None)
             if woke_at is not None:
-                self._run_delay.observe(event.time - woke_at)
+                self._run_delay.observe(time - woke_at)
             self._granted[tid] = data.get("quantum_work", 0)
         elif kind == ev.CHARGE:
             tid = data["tid"]
@@ -326,7 +333,7 @@ class SchedulerMetrics:
             self._interrupt_ns.inc(data.get("service", 0))
         elif kind == ev.VIOLATION:
             self._violations.inc()
-        elif kind == ev.EXIT:
+        else:  # ev.EXIT
             tid = data.get("tid")
             self._runnable_at.pop(tid, None)
             self._woke_at.pop(tid, None)

@@ -26,9 +26,14 @@ text tree::
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
+
+#: the kinds a :class:`SchedStat` folds; it only counts the others
+_FOLDED = frozenset((ev.DISPATCH, ev.CHARGE, ev.PREEMPT, ev.BLOCK, ev.WAKE,
+                     ev.TAG_UPDATE, ev.VTIME_ADVANCE, ev.VIOLATION,
+                     ev.INTERRUPT))
 
 
 def ancestor_paths(path: str) -> List[str]:
@@ -105,7 +110,7 @@ class NodeStats:
 
 
 class SchedStat:
-    """Event-bus subscriber accumulating per-node scheduling statistics.
+    """Capture consumer accumulating per-node scheduling statistics.
 
     Thread-lifecycle events carry the leaf pathname of the thread involved;
     each is attributed to that leaf *and all its ancestors*, so an internal
@@ -133,11 +138,14 @@ class SchedStat:
             stats = self.node(prefix)
             setattr(stats, field, getattr(stats, field) + amount)
 
-    def __call__(self, event: ev.Event) -> None:
-        """Bus subscriber entry point: fold one event into the node table."""
+    def capture(self, shape: ev.Shape, time: int, values: Tuple[Any, ...]
+                ) -> None:
+        """Record entry point: fold one record into the node table."""
         self.events_seen += 1
-        kind = event.kind
-        data = event.data
+        kind = shape.kind
+        if kind not in _FOLDED:
+            return
+        data = dict(zip(shape.fields, values))
         if kind == ev.DISPATCH:
             self._bump(data["node"], "dispatches")
             overhead = data.get("overhead_ns", 0)
@@ -169,7 +177,7 @@ class SchedStat:
             self.node(data["node"]).vtime = data["v"]
         elif kind == ev.VIOLATION:
             self.node(data.get("node", "/")).violations += 1
-        elif kind == ev.INTERRUPT:
+        else:  # ev.INTERRUPT
             self.interrupts += 1
             self.interrupt_ns += data.get("service", 0)
 

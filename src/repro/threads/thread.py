@@ -69,7 +69,7 @@ class SimThread:
 
     def __init__(self, name: str, workload: Workload, weight: int = 1,
                  params: Optional[Dict[str, Any]] = None) -> None:
-        if not isinstance(weight, int) or weight <= 0:
+        if type(weight) is not int or weight <= 0:
             raise ValueError(
                 "thread weight must be a positive int, got %r" % (weight,))
         #: the run's thread id, stamped at spawn (0 until then)
@@ -115,7 +115,7 @@ class SimThread:
 
     def set_weight(self, weight: int) -> None:
         """Change the thread's share weight (takes effect at next stamping)."""
-        if not isinstance(weight, int) or weight <= 0:
+        if type(weight) is not int or weight <= 0:
             raise ValueError(
                 "thread weight must be a positive int, got %r" % (weight,))
         self.weight = weight

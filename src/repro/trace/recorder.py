@@ -30,7 +30,7 @@ _FOLDED = frozenset((
     ev.SPAWN_SHAPE, ev.RUNNABLE_SHAPE, ev.DISPATCH_SHAPE, ev.SLICE_SHAPE,
     ev.CHARGE_SHAPE, ev.BLOCK_SHAPE, ev.WAKE_SHAPE, ev.EXIT_SHAPE,
     ev.INTERRUPT_SHAPE))
-#: the same shapes by kind, for events read by field name
+#: the same shapes by kind, for records of another shape read by name
 _SHAPE_OF = MappingProxyType({shape.kind: shape for shape in _FOLDED})
 
 
@@ -117,11 +117,11 @@ class Recorder:
     """An event-bus subscriber: pass it as ``Machine(tracer=...)``,
     subscribe it to a run's bus, or ``replay(path, recorder)``.
 
-    It is a capture consumer: the bus hands it each record as emitted
-    through :meth:`capture`, which folds the machine shapes by position
-    and returns at once for every other shape (the hierarchy's tag and
-    virtual-time records, say), so the bus builds no
-    :class:`~repro.obs.events.Event` for it.
+    It is a capture consumer: the bus (or ``replay``) hands it each
+    record as emitted through :meth:`capture`, its one record entry
+    point, which folds the machine shapes by position and returns at once
+    for every other kind (the hierarchy's tag and virtual-time records,
+    say).
     """
 
     def __init__(self) -> None:
@@ -136,18 +136,20 @@ class Recorder:
 
     def capture(self, shape: ev.Shape, t: int, values: Tuple[Any, ...]
                 ) -> None:
-        """Fold one record in, as emitted; shapes that are not machine
+        """Fold one record in, as emitted; kinds that are not machine
         facts return at once.
 
-        This is the recorder's one fold: :meth:`__call__` (and so
-        ``binlog.replay``) reads an event's fields into its kind's machine
-        shape and folds it here.  Another shape of a machine kind takes
-        that route too.
+        A record of a machine kind in another shape (one read back from
+        a binlog generic record, say) is first read by field name into
+        that kind's machine shape; a field it lacks reads as None.
         """
         if shape not in _FOLDED:
-            if shape.kind in _SHAPE_OF:
-                self(ev.Event(shape.kind, t, dict(zip(shape.fields, values))))
-            return
+            folded = _SHAPE_OF.get(shape.kind)
+            if folded is None:
+                return
+            data = dict(zip(shape.fields, values))
+            shape = folded
+            values = tuple(map(data.get, folded.fields))
         if shape is ev.INTERRUPT_SHAPE:
             self.interrupts.append((t, values[1]))
             return
@@ -177,14 +179,6 @@ class Recorder:
             trace.spawned_at = t
         else:
             trace.exited_at = t
-
-    def __call__(self, event: ev.Event) -> None:
-        """Fold one event in (live, or replayed from a binlog); a field
-        the event lacks reads as None."""
-        shape = _SHAPE_OF.get(event.kind)
-        if shape is not None:
-            self.capture(shape, event.time,
-                         tuple(map(event.data.get, shape.fields)))
 
     # --- convenience ----------------------------------------------------------
 

@@ -75,7 +75,7 @@ def depth_gantt(source: Any = None, start: int = 0, end: int = 0,
     """Render per-node occupancy lanes ordered by hierarchy depth.
 
     ``source`` is a recorder, a :class:`~repro.obs.binlog.BinaryTraceReader`,
-    or any event iterable; ``[start, end]`` defaults to the whole trace.
+    or any record iterable; ``[start, end]`` defaults to the whole trace.
 
     ``hosts`` renders a *cluster* view instead: a mapping of host key to
     span source (one per-host binlog each, typically), drawn as one lane

@@ -8,13 +8,13 @@ the data came from:
 
 * a :class:`~repro.trace.recorder.Recorder` — per-thread slice lists,
   each slice with the leaf it ran under;
-* any iterable of :class:`~repro.obs.events.Event` — a
+* any iterable of ``(shape, time, values)`` bus records — a
   :class:`~repro.obs.binlog.BinaryTraceReader`, a replayed list, or a
   live collector's buffer.
 
-Both label each span with the leaf pathname its ``slice`` event carried
+Both label each span with the leaf pathname its ``slice`` record carried
 ("/" for flat schedulers), so a thread moved by ``hsfq_move`` shows under
-each leaf in turn.  Event streams also carry preempt instants, which a
+each leaf in turn.  Record streams also carry preempt instants, which a
 recorder does not keep.
 """
 
@@ -93,7 +93,7 @@ def extract_spans(source: Any,
                   threads: Optional[Iterable["SimThread"]] = None) -> SpanSet:
     """Normalize ``source`` into a :class:`SpanSet`.
 
-    ``source`` is a :class:`Recorder` or any iterable of events;
+    ``source`` is a :class:`Recorder` or any iterable of bus records;
     ``threads`` optionally restricts (and orders) recorder extraction,
     exactly like :func:`repro.trace.timeline.merge_timeline`.
     """
@@ -117,21 +117,20 @@ def _from_recorder(recorder: Recorder,
     return SpanSet(spans, interrupts, [])
 
 
-def _from_events(events: Iterable[ev.Event]) -> SpanSet:
+def _from_events(records: Iterable[ev.Record]) -> SpanSet:
     spans: List[Span] = []
     interrupts: List[Tuple[int, int]] = []
     preempts: List[Tuple[int, int, str]] = []
-    for event in events:
-        kind = event.kind
+    for shape, time, values in records:
+        kind = shape.kind
+        data = dict(zip(shape.fields, values))
         if kind == ev.SLICE:
-            data = event.data
-            spans.append(Span(data["start"], event.time, data["tid"],
+            spans.append(Span(data["start"], time, data["tid"],
                               data.get("name", "t%d" % data["tid"]),
                               data.get("node", "/")))
         elif kind == ev.INTERRUPT:
-            interrupts.append((event.time, event.time + event.data["service"]))
+            interrupts.append((time, time + data["service"]))
         elif kind == ev.PREEMPT:
-            data = event.data
-            preempts.append((event.time, data["tid"], data.get("node", "/")))
+            preempts.append((time, data["tid"], data.get("node", "/")))
     spans.sort(key=lambda span: (span.t0, span.t1, span.tid))
     return SpanSet(spans, interrupts, preempts)

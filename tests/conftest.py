@@ -92,8 +92,8 @@ def obs_bus_subscriber():
 
     counts: dict = {}
 
-    def count(event: ev.Event) -> None:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
+    def count(shape: ev.Shape, time: int, values: tuple) -> None:
+        counts[shape.kind] = counts.get(shape.kind, 0) + 1
 
     ev.BUS.subscribe(count)
     try:

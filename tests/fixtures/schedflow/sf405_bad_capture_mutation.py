@@ -2,18 +2,14 @@
 """Negative fixture: a capture consumer mutates state from emit context.
 
 The bus hands a capture consumer each record through ``capture``, inside
-the emit site, just as it calls a plain subscriber's ``__call__``:
-writing a shared global or the shared record shape from there turns
-observation into interference (SF405)."""
+the emit site: writing a shared global or the shared record shape from
+there turns observation into interference (SF405)."""
 
 LAST_SEEN = {}
 
 
 class ShapeProbe:
     """Remembers each kind's last time — in a module global."""
-
-    def __call__(self, event):
-        pass
 
     def capture(self, shape, time, values):
         LAST_SEEN[shape.kind] = time    # SF405: global write from emit

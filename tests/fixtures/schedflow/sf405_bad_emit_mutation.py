@@ -2,18 +2,18 @@
 """Negative fixture: a subscriber mutates state from emit context.
 
 Observers run synchronously inside the simulator's emit sites; writing
-the event, a shared global, or the scheduling tree from there turns
+the record, a shared global, or the scheduling tree from there turns
 observation into interference (SF405)."""
 
 TOTALS = {}
 
 
 class TotalsProbe:
-    """Counts events — into a module global, from emit context."""
+    """Counts records — into a module global, from emit context."""
 
-    def __call__(self, event):
-        TOTALS[event.kind] = 1          # SF405: global write from emit
-        event.payload["seen"] = True    # SF405: mutates the event
+    def __call__(self, shape, time, values):
+        TOTALS[shape.kind] = 1          # SF405: global write from emit
+        shape.kind = "seen"             # SF405: mutates the record
 
 
 def attach(bus):

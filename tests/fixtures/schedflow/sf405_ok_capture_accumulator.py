@@ -9,9 +9,6 @@ class KindCounter:
     def __init__(self):
         self.counts = {}
 
-    def __call__(self, event):
-        self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
-
     def capture(self, shape, time, values):
         self.counts[shape.kind] = self.counts.get(shape.kind, 0) + 1
 

@@ -64,7 +64,7 @@ def stream(name: str) -> List[str]:
     run has no tracer)."""
     lines: List[str] = []
     with obs.BUS.subscription(
-            lambda event: lines.append(enginediff.format_event(event))):
+            lambda *record: lines.append(enginediff.format_event(*record))):
         RUNS[name]()
     return lines
 
@@ -73,7 +73,7 @@ def collect_traced(run: Callable[[Any], None]) -> List[str]:
     """The stream of ``run(tracer)``, seen by a collector passed as its
     machine's ``tracer``."""
     lines: List[str] = []
-    run(lambda event: lines.append(enginediff.format_event(event)))
+    run(lambda *record: lines.append(enginediff.format_event(*record)))
     return lines
 
 

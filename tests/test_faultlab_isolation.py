@@ -91,7 +91,7 @@ class TestIsolationGuard:
 
     def test_leaked_subscriber_is_reported(self):
         guard = IsolationGuard("leaky cell")
-        with BUS.subscription(lambda event: None):
+        with BUS.subscription(lambda shape, time, values: None):
             with pytest.raises(IsolationError, match="BUS.subscribers"):
                 guard.verify()
         guard.verify()  # clean again once the subscription unwinds

@@ -62,7 +62,7 @@ def test_stream_with_tracer_attached_matches_committed_fixture(name):
     """A ``tracer=`` collector sees its run's whole stream — hierarchy
     and SFQ events included — and the process bus sees none of it."""
     leaked = []
-    with obs.BUS.subscription(leaked.append):
+    with obs.BUS.subscription(lambda *record: leaked.append(record)):
         lines = goldens.collect_traced(goldens.RUNS[name])
     assert goldens.stream_digest(lines) == goldens.load_fixture(name)["sha256"]
     assert leaked == []

@@ -168,7 +168,8 @@ def run_script(driver):
 def _traced_script(driver):
     events = []
     with obs.BUS.subscription(
-            lambda event: events.append((event.kind, event.time, event.data))):
+            lambda shape, time, values: events.append(
+                (shape.kind, time, dict(zip(shape.fields, values))))):
         picks = run_script(driver)
     return picks, events
 
@@ -201,11 +202,12 @@ def test_traced_setrun_reports_the_levels_it_stamped():
     second = structure.mknod("/a/second", 1, scheduler=SfqScheduler())
 
     def woken(leaf):
-        events = []
-        with obs.BUS.subscription(events.append):
+        records = []
+        with obs.BUS.subscription(lambda *record: records.append(record)):
             scheduler.setrun(leaf)
-        assert all(event.kind == obs.TAG_UPDATE for event in events)
-        return [event.data["node"] for event in events]
+        assert all(shape is obs.TAG_UPDATE_SHAPE
+                   for shape, __, ___ in records)
+        return [values[0] for __, ___, values in records]
 
     # nothing runnable yet: every level up to the root is stamped
     assert woken(first) == ["/a/b/first", "/a/b", "/a"]

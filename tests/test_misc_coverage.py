@@ -173,7 +173,7 @@ class TestLeafNodeState:
     def test_weight_validation_on_node(self):
         structure = SchedulingStructure()
         node = structure.mknod("/n", 1)
-        for weight in (0, float("nan"), 2.5, Fraction(5, 2)):
+        for weight in (0, float("nan"), 2.5, Fraction(5, 2), True):
             with pytest.raises(StructureError):
                 node.set_weight(weight)
         assert node.weight == 1

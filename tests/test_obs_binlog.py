@@ -19,7 +19,7 @@ from repro.obs.binlog import (
     write_events,
 )
 from repro.obs import events as ev
-from repro.obs.events import Event, EventBus, Shape
+from repro.obs.events import EventBus, Shape
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.smp.machine import SmpMachine
@@ -27,141 +27,158 @@ from repro.threads.segments import Compute, SegmentListWorkload, SleepFor
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND
 
-MIXED_EVENTS = [
-    Event("dispatch", 10, {"tid": 1, "name": "mpeg", "node": "/a/b",
-                           "cpu": 0, "depth": 2, "switched": True,
-                           "overhead_ns": 200, "quantum_work": 1000}),
-    Event("dispatch", 25, {"tid": 2, "name": "x", "node": "/a", "cpu": 0,
-                           "depth": 1, "switched": False, "overhead_ns": 0,
-                           "quantum_work": 900}),
+#: ``(kind, time, fields)`` of a mixed stream
+MIXED = [
+    ("dispatch", 10, {"tid": 1, "name": "mpeg", "node": "/a/b", "cpu": 0,
+                      "depth": 2, "switched": True, "overhead_ns": 200,
+                      "quantum_work": 1000}),
+    ("dispatch", 25, {"tid": 2, "name": "x", "node": "/a", "cpu": 0,
+                      "depth": 1, "switched": False, "overhead_ns": 0,
+                      "quantum_work": 900}),
     # type drift: switched becomes int -> generic-record fallback
-    Event("dispatch", 30, {"tid": 3, "name": "y", "node": "/a", "cpu": 0,
-                           "depth": 1, "switched": 1, "overhead_ns": 0,
-                           "quantum_work": 900}),
+    ("dispatch", 30, {"tid": 3, "name": "y", "node": "/a", "cpu": 0,
+                      "depth": 1, "switched": 1, "overhead_ns": 0,
+                      "quantum_work": 900}),
     # shape drift: extra field -> second schema for the same kind
-    Event("dispatch", 31, {"tid": 3, "name": "y", "node": "/a", "cpu": 0,
-                           "depth": 1, "switched": True, "overhead_ns": 0,
-                           "quantum_work": 900, "extra": None}),
+    ("dispatch", 31, {"tid": 3, "name": "y", "node": "/a", "cpu": 0,
+                      "depth": 1, "switched": True, "overhead_ns": 0,
+                      "quantum_work": 900, "extra": None}),
     # int beyond the fast path's fixed-width field -> generic fallback
-    Event("tag-update", 40, {"node": "/a", "start": 1.5, "finish": 2.5,
-                             "work": 1 << 80}),
-    Event("tag-update", 41, {"node": "/a", "start": 1.5, "finish": 2.5,
-                             "work": 100}),
+    ("tag-update", 40, {"node": "/a", "start": 1.5, "finish": 2.5,
+                        "work": 1 << 80}),
+    ("tag-update", 41, {"node": "/a", "start": 1.5, "finish": 2.5,
+                        "work": 100}),
     # the fairqueue 5-field tag-update shape
-    Event("tag-update", 42, {"node": "/a", "tid": 7, "start": 1.5,
-                             "finish": 2.5, "work": 100}),
+    ("tag-update", 42, {"node": "/a", "tid": 7, "start": 1.5,
+                        "finish": 2.5, "work": 100}),
     # time going backwards (negative delta)
-    Event("vtime-advance", 5, {"node": "/", "v": 0.25}),
-    Event("weird", 5, {"n": None, "t": True, "f": False, "neg": -12345,
-                       "s": "hello", "fl": -0.0}),
+    ("vtime-advance", 5, {"node": "/", "v": 0.25}),
+    ("weird", 5, {"n": None, "t": True, "f": False, "neg": -12345,
+                  "s": "hello", "fl": -0.0}),
     # first schema again: fast path resumes after the fallbacks
-    Event("dispatch", 50, {"tid": 1, "name": "mpeg", "node": "/a/b",
-                           "cpu": 0, "depth": 2, "switched": False,
-                           "overhead_ns": 0, "quantum_work": 1000}),
+    ("dispatch", 50, {"tid": 1, "name": "mpeg", "node": "/a/b", "cpu": 0,
+                      "depth": 2, "switched": False, "overhead_ns": 0,
+                      "quantum_work": 1000}),
 ]
 
 
-def shaped(events):
-    """``(shape, time, values)`` records for ``events``, one shared shape
-    object per (kind, fields), as the emit sites declare them."""
+def shaped(entries):
+    """``(shape, time, values)`` records for ``(kind, time, fields)``
+    entries, one shared shape object per (kind, fields), as the emit
+    sites declare them."""
     shapes = {}
     records = []
-    for event in events:
-        key = (event.kind, tuple(event.data))
+    for kind, time, data in entries:
+        key = (kind, tuple(data))
         shape = shapes.setdefault(key, Shape(*key))
-        records.append((shape, event.time, tuple(event.data.values())))
+        records.append((shape, time, tuple(data.values())))
     return records
 
 
-MIXED_RECORDS = shaped(MIXED_EVENTS)
+def fields_of(records):
+    """``(kind, time, fields)`` of each record, its fields as a dict."""
+    return [(shape.kind, time, dict(zip(shape.fields, values)))
+            for shape, time, values in records]
+
+
+MIXED_RECORDS = shaped(MIXED)
 
 #: faultlab-style records of one kind whose fields vary per call
-LATER_SHAPE_EVENTS = [
-    Event("fault-inject", 1, {"fault": "node-churn", "action": "churn-out",
-                              "round": 0, "thread": "a"}),
+LATER_SHAPES = [
+    ("fault-inject", 1, {"fault": "node-churn", "action": "churn-out",
+                         "round": 0, "thread": "a"}),
     # as many fields as the first schema, other names: tried against it
     # by name first, so "restore-retry" is interned before "error" misses
-    Event("fault-inject", 2, {"fault": "node-churn",
-                              "action": "restore-retry", "round": 0,
-                              "error": "StructureError"}),
+    ("fault-inject", 2, {"fault": "node-churn", "action": "restore-retry",
+                         "round": 0, "error": "StructureError"}),
     # the first schema's fields in another order: its fast record
-    Event("fault-inject", 3, {"thread": "b", "round": 1,
-                              "action": "churn-home", "fault": "node-churn"}),
-    Event("fault-inject", 4, {"fault": "node-churn",
-                              "action": "restore-retry", "round": 2,
-                              "error": "StructureError"}),
-    Event("k", 5, {"a": 1, "b": "x"}),
+    ("fault-inject", 3, {"thread": "b", "round": 1, "action": "churn-home",
+                         "fault": "node-churn"}),
+    ("fault-inject", 4, {"fault": "node-churn", "action": "restore-retry",
+                         "round": 2, "error": "StructureError"}),
+    ("k", 5, {"a": 1, "b": "x"}),
     # fits the first schema in another order, but its int overflows the
     # slab: the miss comes after every string, then its own schema
-    Event("k", 6, {"b": "y", "a": 1 << 70}),
-    Event("k", 7, {"b": "z", "a": 5}),
-    Event("k", 1 << 70, {"b": "w", "a": 6}),
+    ("k", 6, {"b": "y", "a": 1 << 70}),
+    ("k", 7, {"b": "z", "a": 5}),
+    ("k", 1 << 70, {"b": "w", "a": 6}),
 ]
 
+#: a record the binlog cannot encode
+BAD = (Shape("bad", ("payload",)), 60, ([1, 2, 3],))
 
-def sealed_bytes(events, defer=False):
+
+def sealed_bytes(records, defer=False):
     buffer = io.BytesIO()
     writer = BinaryTraceWriter(buffer, defer=defer)
-    for event in events:
-        writer(event)
+    for record in records:
+        writer.capture(*record)
     writer.close()
     return buffer.getvalue()
 
 
 class TestRoundTrip:
     def test_mixed_stream_roundtrips_losslessly(self):
-        raw = sealed_bytes(MIXED_EVENTS)
-        out = list(read_events(io.BytesIO(raw)))
-        assert len(out) == len(MIXED_EVENTS)
-        for original, decoded in zip(MIXED_EVENTS, out):
-            assert original.kind == decoded.kind
-            assert original.time == decoded.time
-            assert original.data == decoded.data
+        raw = sealed_bytes(MIXED_RECORDS)
+        assert fields_of(read_events(io.BytesIO(raw))) == MIXED
 
     def test_mixed_stream_seals_pinned_bytes(self):
         # Pins the record choices the mixed stream exercises: fast records
         # for a kind's first schema only, generic records for type drift,
         # an int beyond 64 bits and the second tag-update shape.
-        raw = sealed_bytes(MIXED_EVENTS)
+        raw = sealed_bytes(MIXED_RECORDS)
         assert len(raw) == 724
         assert hashlib.sha256(raw).hexdigest() == (
             "6053d2472ccf9a1d524ed4b1f4a9a0afe8bd7b39b7d889569fbe4d6010b84791")
 
-    @pytest.mark.parametrize("path", ["event", "defer", "capture"])
+    @pytest.mark.parametrize("path", ["stream", "defer", "capture"])
     def test_later_shapes_try_the_first_schema_by_name(self, path):
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer, defer=path == "defer")
-        for shape, time, values in shaped(LATER_SHAPE_EVENTS):
+        for shape, time, values in shaped(LATER_SHAPES):
             if path == "capture":  # a shape built per call, as faultlab's
-                writer.capture(Shape(shape.kind, shape.fields), time, values)
-            else:
-                writer(Event(shape.kind, time,
-                             dict(zip(shape.fields, values))))
+                shape = Shape(shape.kind, shape.fields)
+            writer.capture(shape, time, values)
         writer.close()
         raw = buffer.getvalue()
         assert hashlib.sha256(raw).hexdigest() == (
             "7269adbdcfbc7710d63f74361278dba06f1fc0f529b265647fa6ff43b9e0cd8b")
         decoded = list(read_events(io.BytesIO(raw)))
-        assert list(decoded[2].data) == ["fault", "action", "round", "thread"]
-        assert list(decoded[5].data) == ["b", "a"]
-        assert list(decoded[6].data) == ["a", "b"]
+        assert decoded[2][0].fields == (
+            "fault", "action", "round", "thread")
+        assert decoded[5][0].fields == ("b", "a")
+        assert decoded[6][0].fields == ("a", "b")
         assert BinaryTraceReader(io.BytesIO(raw)).info()["schemas"] == 4
 
     def test_value_types_survive_exactly(self):
-        raw = sealed_bytes(MIXED_EVENTS)
-        for original, decoded in zip(MIXED_EVENTS,
-                                     read_events(io.BytesIO(raw))):
-            for key in original.data:
-                assert type(original.data[key]) is type(decoded.data[key]), (
-                    original.kind, key)
+        raw = sealed_bytes(MIXED_RECORDS)
+        for (kind, __, data), (___, ____, decoded) in zip(
+                MIXED, fields_of(read_events(io.BytesIO(raw)))):
+            for key in data:
+                assert type(data[key]) is type(decoded[key]), (kind, key)
 
     def test_field_insertion_order_is_canonicalized_not_lost(self):
-        # same keys, different dict order -> same schema, equal dicts back
-        first = Event("k", 1, {"a": 1, "b": 2})
-        second = Event("k", 2, {"b": 20, "a": 10})
-        out = list(read_events(io.BytesIO(sealed_bytes([first, second]))))
-        assert out[0].data == {"a": 1, "b": 2}
-        assert out[1].data == {"a": 10, "b": 20}
+        # same keys, different order -> same schema, equal fields back
+        records = shaped([("k", 1, {"a": 1, "b": 2}),
+                          ("k", 2, {"b": 20, "a": 10})])
+        out = fields_of(read_events(io.BytesIO(sealed_bytes(records))))
+        assert out == [("k", 1, {"a": 1, "b": 2}),
+                       ("k", 2, {"a": 10, "b": 20})]
+
+    def test_one_shape_per_kind_and_fields(self):
+        # a catalogue shape reads back as the catalogue object itself;
+        # any other shape as one object per (kind, fields), whether its
+        # records were fast or generic
+        raw = sealed_bytes([(ev.WAKE_SHAPE, 1, (3, "/a"))] + MIXED_RECORDS
+                           + [(ev.WAKE_SHAPE, 60, (4, "/b"))])
+        shapes = [shape for shape, __, ___ in read_events(io.BytesIO(raw))]
+        assert shapes[0] is shapes[-1] is ev.WAKE_SHAPE
+        by_key = {}
+        for shape in shapes:
+            assert by_key.setdefault((shape.kind, shape.fields),
+                                     shape) is shape
+        assert shapes[1] is shapes[3] is shapes[10]  # fast, generic, fast
+        assert ev.FQ_TAG_UPDATE_SHAPE in shapes
 
     def test_empty_log_roundtrips(self):
         buffer = io.BytesIO()
@@ -170,27 +187,35 @@ class TestRoundTrip:
 
     def test_write_events_returns_count(self):
         buffer = io.BytesIO()
-        assert write_events(MIXED_EVENTS, buffer) == len(MIXED_EVENTS)
+        assert write_events(MIXED_RECORDS, buffer) == len(MIXED_RECORDS)
+        assert buffer.getvalue() == sealed_bytes(MIXED_RECORDS)
 
     def test_replay_feeds_subscribers_in_order(self):
-        raw = sealed_bytes(MIXED_EVENTS)
+        raw = sealed_bytes(MIXED_RECORDS)
         seen = []
-        count = replay(io.BytesIO(raw),
-                       lambda event: seen.append(event.kind))
-        assert count == len(MIXED_EVENTS)
-        assert seen == [event.kind for event in MIXED_EVENTS]
+
+        class Consumer:
+            def capture(self, shape, time, values):
+                seen.append(("capture", shape.kind))
+
+        count = replay(io.BytesIO(raw), Consumer(),
+                       lambda shape, time, values: seen.append(
+                           ("plain", shape.kind)))
+        assert count == len(MIXED_RECORDS)
+        assert seen == [(path, kind) for kind, __, ___ in MIXED
+                        for path in ("capture", "plain")]
 
 
 class TestWriterModes:
     def test_deferred_and_streaming_bytes_are_identical(self):
-        assert sealed_bytes(MIXED_EVENTS, defer=True) == \
-            sealed_bytes(MIXED_EVENTS, defer=False)
+        assert sealed_bytes(MIXED_RECORDS, defer=True) == \
+            sealed_bytes(MIXED_RECORDS, defer=False)
 
     def test_deferred_mode_encodes_nothing_until_close(self):
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer, defer=True)
-        for event in MIXED_EVENTS:
-            writer(event)
+        for record in MIXED_RECORDS:
+            writer.capture(*record)
         writer._flush()
         header_only = buffer.getvalue()
         assert len(header_only) == 5  # magic + version, no event bytes
@@ -204,22 +229,21 @@ class TestWriterModes:
         assert writer._pending == [ev.WAKE_SHAPE, 7, 3, "/a",
                                    ev.EXIT_SHAPE, 9, 3, "/a"]
         writer.close()
-        assert [(event.kind, event.time) for event in read_events(
-            io.BytesIO(writer._file.getvalue()))] == [("wake", 7),
-                                                       ("exit", 9)]
+        assert list(read_events(io.BytesIO(writer._file.getvalue()))) == [
+            (ev.WAKE_SHAPE, 7, (3, "/a")), (ev.EXIT_SHAPE, 9, (3, "/a"))]
 
     def test_event_count_tracks_both_modes(self):
         for defer in (False, True):
             writer = BinaryTraceWriter(io.BytesIO(), defer=defer)
-            for event in MIXED_EVENTS:
-                writer(event)
+            for record in MIXED_RECORDS:
+                writer.capture(*record)
             writer.close()
-            assert writer.event_count == len(MIXED_EVENTS)
+            assert writer.event_count == len(MIXED_RECORDS)
 
     def test_close_is_idempotent(self):
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer)
-        writer(MIXED_EVENTS[0])
+        writer.capture(*MIXED_RECORDS[0])
         writer.close()
         sealed = buffer.getvalue()
         writer.close()
@@ -228,48 +252,48 @@ class TestWriterModes:
     def test_context_manager_seals(self):
         buffer = io.BytesIO()
         with BinaryTraceWriter(buffer) as writer:
-            writer(MIXED_EVENTS[0])
+            writer.capture(*MIXED_RECORDS[0])
         assert len(list(read_events(io.BytesIO(buffer.getvalue())))) == 1
 
     def test_path_open_and_close(self, tmp_path):
         path = tmp_path / "run.binlog"
         with BinaryTraceWriter(str(path)) as writer:
-            for event in MIXED_EVENTS:
-                writer(event)
+            for record in MIXED_RECORDS:
+                writer.capture(*record)
         reader = BinaryTraceReader(str(path))
-        assert len(reader) == len(MIXED_EVENTS)
+        assert len(reader) == len(MIXED_RECORDS)
 
     def test_unencodable_value_raises_and_keeps_log_valid(self):
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer)
-        writer(MIXED_EVENTS[0])
+        writer.capture(*MIXED_RECORDS[0])
         with pytest.raises(TypeError):
-            writer(Event("bad", 60, {"payload": [1, 2, 3]}))
-        writer(MIXED_EVENTS[-1])
+            writer.capture(*BAD)
+        writer.capture(*MIXED_RECORDS[-1])
         writer.close()
         out = list(read_events(io.BytesIO(buffer.getvalue())))
-        assert [event.time for event in out] == [10, 50]
+        assert [time for __, time, ___ in out] == [10, 50]
 
     def test_deferred_seal_of_unencodable_value_keeps_the_rest(
             self, tmp_path):
-        events = [MIXED_EVENTS[0], Event("bad", 60, {"payload": [1, 2, 3]}),
-                  MIXED_EVENTS[-1]]
+        records = [MIXED_RECORDS[0], BAD, MIXED_RECORDS[-1]]
         path = tmp_path / "run.binlog"
         writer = BinaryTraceWriter(str(path), defer=True)
-        for event in events:
-            writer(event)
+        for record in records:
+            writer.capture(*record)
         with pytest.raises(TypeError):
             writer.close()
         assert writer._file.closed
         sealed = path.read_bytes()
-        assert [event.time for event in read_events(str(path))] == [10, 50]
-        # the same log streaming mode writes, rejecting the bad event
+        assert [time for __, time, ___ in read_events(str(path))] == [
+            10, 50]
+        # the same log streaming mode writes, rejecting the bad record
         buffer = io.BytesIO()
         streaming = BinaryTraceWriter(buffer)
-        streaming(events[0])
+        streaming.capture(*records[0])
         with pytest.raises(TypeError):
-            streaming(events[1])
-        streaming(events[2])
+            streaming.capture(*records[1])
+        streaming.capture(*records[2])
         streaming.close()
         assert sealed == buffer.getvalue()
         writer.close()
@@ -278,7 +302,7 @@ class TestWriterModes:
 
 class TestRejection:
     def test_every_truncation_is_rejected(self):
-        raw = sealed_bytes(MIXED_EVENTS)
+        raw = sealed_bytes(MIXED_RECORDS)
         for cut in range(len(raw)):
             with pytest.raises(BinlogError):
                 BinaryTraceReader(io.BytesIO(raw[:cut]))
@@ -286,7 +310,7 @@ class TestRejection:
     def test_every_single_byte_corruption_is_rejected(self):
         # the footer hash covers every preceding byte; flips inside the
         # hash or count fields trip their own checks
-        raw = sealed_bytes(MIXED_EVENTS[:3])
+        raw = sealed_bytes(MIXED_RECORDS[:3])
         for index in range(len(raw)):
             mutated = bytearray(raw)
             mutated[index] ^= 0xFF
@@ -296,7 +320,7 @@ class TestRejection:
     def test_unsealed_stream_is_rejected(self):
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer)
-        writer(MIXED_EVENTS[0])
+        writer.capture(*MIXED_RECORDS[0])
         writer._flush()  # bytes on disk, but no footer
         with pytest.raises(BinlogError):
             BinaryTraceReader(io.BytesIO(buffer.getvalue()))
@@ -308,19 +332,19 @@ class TestRejection:
 
 class TestInfo:
     def test_info_summarizes_the_log(self):
-        reader = BinaryTraceReader(io.BytesIO(sealed_bytes(MIXED_EVENTS)))
+        reader = BinaryTraceReader(io.BytesIO(sealed_bytes(MIXED_RECORDS)))
         info = reader.info()
         assert info["format"] == "repro.binlog/1"
-        assert info["events"] == len(MIXED_EVENTS)
+        assert info["events"] == len(MIXED_RECORDS)
         assert info["kinds"]["dispatch"] == 5
         assert info["time_first_ns"] == 10
         assert info["time_last_ns"] == 50
         assert info["strings"] > 0 and info["schemas"] >= 3
 
     def test_len_matches_event_count(self):
-        reader = BinaryTraceReader(io.BytesIO(sealed_bytes(MIXED_EVENTS)))
-        assert len(reader) == len(MIXED_EVENTS)
-        assert len(list(reader)) == len(MIXED_EVENTS)
+        reader = BinaryTraceReader(io.BytesIO(sealed_bytes(MIXED_RECORDS)))
+        assert len(reader) == len(MIXED_RECORDS)
+        assert len(list(reader)) == len(MIXED_RECORDS)
 
 
 @pytest.fixture(scope="module")
@@ -391,27 +415,8 @@ class TestBusIntegration:
         writer = BinaryTraceWriter(io.BytesIO())
         bus.subscribe(writer)
         assert bus._capture == writer.capture
-        bus.unsubscribe(bus.subscribe(lambda event: None))
+        bus.unsubscribe(bus.subscribe(lambda shape, time, values: None))
         assert bus._capture == writer.capture  # refreshed back
-
-    def test_raw_path_and_event_path_write_identical_bytes(self):
-        # the raw path: the bus hands the writer each record as emitted
-        bus = EventBus()
-        buffer_raw = io.BytesIO()
-        writer = BinaryTraceWriter(buffer_raw)
-        bus.subscribe(writer)
-        self.emit_all(bus)
-        writer.close()
-        # the Event path: the writer fed the Event the bus builds
-        bus = EventBus()
-        buffer_event = io.BytesIO()
-        writer = BinaryTraceWriter(buffer_event)
-        bus.subscribe(lambda event: writer(event))
-        assert bus._capture is None
-        self.emit_all(bus)
-        writer.close()
-        assert buffer_raw.getvalue() == buffer_event.getvalue()
-        assert buffer_raw.getvalue() == sealed_bytes(MIXED_EVENTS)
 
     def test_deferred_writer_on_the_bus(self):
         bus = EventBus()
@@ -421,27 +426,32 @@ class TestBusIntegration:
         assert bus._capture == writer.capture
         self.emit_all(bus)
         writer.close()
-        assert buffer.getvalue() == sealed_bytes(MIXED_EVENTS)
+        assert buffer.getvalue() == sealed_bytes(MIXED_RECORDS)
 
     def test_collector_alongside_writer_sees_every_event(self):
         bus = EventBus()
-        writer = BinaryTraceWriter(io.BytesIO())
+        buffer = io.BytesIO()
+        writer = BinaryTraceWriter(buffer)
         seen = []
         bus.subscribe(writer)
-        bus.subscribe(lambda event: seen.append(event.kind))
+        bus.subscribe(lambda shape, time, values: seen.append(shape.kind))
+        assert bus._capture is None
         self.emit_all(bus)
-        assert seen == [event.kind for event in MIXED_EVENTS]
-        assert writer.event_count == len(MIXED_EVENTS)
+        writer.close()
+        assert seen == [kind for kind, __, ___ in MIXED]
+        assert writer.event_count == len(MIXED_RECORDS)
+        assert buffer.getvalue() == sealed_bytes(MIXED_RECORDS)
 
-    @pytest.mark.parametrize("path", ["capture", "event"])
+    @pytest.mark.parametrize("path", ["capture", "callable"])
     def test_deferred_capture_adds_no_gc_tracked_objects(self, path):
         bus = EventBus()
         buffer = io.BytesIO()
         writer = BinaryTraceWriter(buffer, defer=True)
         if path == "capture":
             bus.subscribe(writer)
-        else:
-            bus.subscribe(lambda event: writer(event))
+        else:  # a plain callable forwarding each record
+            bus.subscribe(lambda shape, time, values: writer.capture(
+                shape, time, values))
         shape = Shape("dispatch", ("tid", "name", "node", "cpu", "switched",
                                    "load", "extra"))
         gc.collect()
@@ -483,7 +493,7 @@ class TestBusIntegration:
         writer.capture(Shape("fresh", ("x",)), 2, (2,))
         writer.close()
         out = list(read_events(io.BytesIO(buffer.getvalue())))
-        assert [event.data["x"] for event in out] == [1, 2]
+        assert [values for __, ___, values in out] == [(1,), (2,)]
 
     @pytest.mark.parametrize("defer", [False, True], ids=["stream", "defer"])
     def test_shapes_built_per_call_reuse_one_schema(self, defer):
@@ -509,12 +519,12 @@ def test_machine_capture_matches_event_formatting(harness):
     live = []
     bus = harness.engine.bus
     with bus.subscription(writer), bus.subscription(
-            lambda event: live.append(
-                (event.kind, event.time, dict(event.data)))):
+            lambda *record: live.append(record)):
         harness.spawn_dhrystone("a")
         harness.spawn_dhrystone("b", weight=2)
         harness.machine.run_until(200_000_000)
     writer.close()
-    decoded = [(event.kind, event.time, event.data)
-               for event in read_events(io.BytesIO(buffer.getvalue()))]
+    decoded = list(read_events(io.BytesIO(buffer.getvalue())))
+    # every machine record reads back as emitted, in its catalogue shape
     assert live and decoded == live
+    assert all(shape in ev.SHAPES for shape, __, ___ in decoded)

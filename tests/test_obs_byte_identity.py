@@ -1,10 +1,11 @@
 """Lossless capture: binlog replay must equal live observation, byte for byte.
 
 The binlog's whole contract is that recording to disk loses nothing: the
-Chrome trace JSON and schedstat text produced by *replaying* a binlog
-must be identical to what the in-memory collectors produced *live* on
-the same run.  Checked on both arms of the Figure-5 experiment and on
-enginediff's depth-8 hierarchy, plus the committed golden binlog fixture.
+Chrome trace JSON, the schedstat text and the scheduler-metrics snapshot
+produced by *replaying* a binlog must be identical to what the in-memory
+collectors produced *live* on the same run.  Checked on both arms of the
+Figure-5 experiment and on enginediff's depth-8 hierarchy, plus the
+committed golden binlog fixture.
 """
 
 import functools
@@ -17,6 +18,7 @@ from repro.experiments import figure5
 from repro.obs import events as ev
 from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter, replay
 from repro.obs.chrometrace import ChromeTraceBuilder, validate_chrome_trace
+from repro.obs.metrics import SchedulerMetrics
 from repro.obs.schedstat import SchedStat, render_schedstat_paths
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.schedulers.svr4 import Svr4TimeSharing
@@ -31,18 +33,20 @@ def capture_live(bus, run):
     writer = BinaryTraceWriter(buffer)
     stats = SchedStat()
     builder = ChromeTraceBuilder()
+    metrics = SchedulerMetrics()
     with bus.subscription(writer), bus.subscription(stats), \
-            bus.subscription(builder):
+            bus.subscription(builder), bus.subscription(metrics):
         run()
     writer.close()
-    return buffer.getvalue(), builder, stats
+    return buffer.getvalue(), builder, stats, metrics
 
 
 def replay_collectors(raw):
     stats = SchedStat()
     builder = ChromeTraceBuilder()
-    replay(io.BytesIO(raw), builder, stats)
-    return builder, stats
+    metrics = SchedulerMetrics()
+    replay(io.BytesIO(raw), builder, stats, metrics)
+    return builder, stats, metrics
 
 
 def run_deep_hierarchy():
@@ -53,8 +57,9 @@ def run_deep_hierarchy():
 
 class TestByteIdentity:
     def check(self, bus, run):
-        raw, live_builder, live_stats = capture_live(bus, run)
-        replayed_builder, replayed_stats = replay_collectors(raw)
+        raw, live_builder, live_stats, live_metrics = capture_live(bus, run)
+        replayed_builder, replayed_stats, replayed_metrics = \
+            replay_collectors(raw)
         assert live_builder.event_count > 100
         # Chrome trace: identical JSON at both indents
         assert replayed_builder.to_json() == live_builder.to_json()
@@ -64,6 +69,10 @@ class TestByteIdentity:
         # schedstat: identical offline rendering
         assert render_schedstat_paths(replayed_stats) == \
             render_schedstat_paths(live_stats)
+        # scheduler metrics: identical registry snapshot
+        live_snapshot = live_metrics.registry.snapshot()
+        assert live_snapshot["sched.dispatches"] > 0
+        assert replayed_metrics.registry.snapshot() == live_snapshot
 
     def test_figure5(self):
         """Each arm of the experiment, SVR4 time-sharing and SFQ, shortened
@@ -95,7 +104,7 @@ class TestGoldenBinlog:
         reader = BinaryTraceReader(goldens.binlog_fixture_path())
         info = reader.info()
         assert info["events"] == len(reader) > 100
-        kinds = {event.kind for event in reader}
+        kinds = {shape.kind for shape, __, ___ in reader}
         assert ev.DISPATCH in kinds and ev.SLICE in kinds
 
     def test_capture_is_reproducible_in_process(self):

@@ -120,11 +120,10 @@ class TestValidation:
 class TestSummary:
     def test_summary_from_synthetic_events(self):
         builder = ChromeTraceBuilder()
-        builder(ev.Event(ev.SLICE, 2_000,
-                         {"tid": 5, "name": "worker", "node": "/apps",
-                          "cpu": 0, "start": 0, "work": 100}))
-        builder(ev.Event(ev.WAKE, 3_000, {"tid": 5, "node": "/apps"}))
-        builder(ev.Event(ev.VTIME_ADVANCE, 3_500, {"node": "/", "v": 1.5}))
+        builder.capture(ev.SLICE_SHAPE, 2_000, (5, "worker", "/apps", 0, 0,
+                                                100))
+        builder.capture(ev.WAKE_SHAPE, 3_000, (5, "/apps"))
+        builder.capture(ev.VTIME_ADVANCE_SHAPE, 3_500, ("/", 1.5))
         summary = summarize_chrome_trace(builder.to_dict())
         assert summary["instants"] == {"wake": 1}
         assert summary["counters"] == {"vtime /": 1}
@@ -134,8 +133,7 @@ class TestSummary:
 
     def test_violation_becomes_a_named_instant(self):
         builder = ChromeTraceBuilder()
-        builder(ev.Event(ev.VIOLATION, 10,
-                         {"rule": "finish-tag-rule", "node": "/apps",
-                          "message": "boom"}))
+        builder.capture(ev.VIOLATION_SHAPE, 10,
+                        ("finish-tag-rule", "/apps", "boom"))
         summary = summarize_chrome_trace(builder.to_dict())
         assert summary["instants"] == {"SCHEDSAN finish-tag-rule": 1}

@@ -33,37 +33,36 @@ class TestBusMechanics:
 
     def test_subscribe_activates_and_unsubscribe_deactivates(self):
         bus = ev.EventBus()
-        seen = []
-        bus.subscribe(seen.append)
+
+        def subscriber(shape, time, values):
+            pass
+
+        bus.subscribe(subscriber)
         assert bus.active
-        bus.unsubscribe(seen.append)
+        bus.unsubscribe(subscriber)
         assert not bus.active
 
     def test_emit_without_subscribers_is_noop(self):
         bus = ev.EventBus()
-        # must not raise or allocate events
+        # must not raise or build anything
         bus.emit(ev.Shape(ev.DISPATCH, ("tid",)), 5, 1)
 
     def test_emit_delivers_event_fields(self):
         bus = ev.EventBus()
         seen = []
-        bus.subscribe(seen.append)
-        bus.emit(ev.Shape(ev.DISPATCH, ("tid", "node")), 42, 7, "/apps")
-        assert len(seen) == 1
-        event = seen[0]
-        assert event.kind == ev.DISPATCH
-        assert event.time == 42
-        assert event.data == {"tid": 7, "node": "/apps"}
-        assert event.get("tid") == 7
-        assert event.get("missing", "d") == "d"
+        bus.subscribe(lambda *record: seen.append(record))
+        shape = ev.Shape(ev.DISPATCH, ("tid", "node"))
+        bus.emit(shape, 42, 7, "/apps")
+        assert seen == [(shape, 42, (7, "/apps"))]
+        assert seen[0][0] is shape
 
     def test_capture_consumer_is_handed_the_record_as_emitted(self):
         bus = ev.EventBus()
         records = []
 
         class Consumer:
-            def __call__(self, event):
-                raise AssertionError("built an Event for a capture consumer")
+            def __call__(self, shape, time, values):
+                raise AssertionError("called, though it has a capture")
 
             def capture(self, shape, time, values):
                 records.append((shape, time, values))
@@ -72,40 +71,51 @@ class TestBusMechanics:
         bus.emit(ev.WAKE_SHAPE, 9, 3, "/a")
         assert records == [(ev.WAKE_SHAPE, 9, (3, "/a"))]
 
-    def test_mixed_subscribers_keep_order_and_share_one_event(self):
+    def test_object_with_only_capture_subscribes(self):
+        class Consumer:
+            def __init__(self):
+                self.records = []
+
+            def capture(self, shape, time, values):
+                self.records.append((shape, time, values))
+
+        bus = ev.EventBus()
+        consumer = bus.subscribe(Consumer())
+        bus.emit(ev.WAKE_SHAPE, 9, 3, "/a")
+        bus.unsubscribe(consumer)
+        assert not bus.active
+        assert consumer.records == [(ev.WAKE_SHAPE, 9, (3, "/a"))]
+
+    def test_mixed_subscribers_keep_order_and_share_one_record(self):
         bus = ev.EventBus()
         order = []
 
         class Consumer:
-            def __call__(self, event):
-                raise AssertionError("built an Event for a capture consumer")
-
             def capture(self, shape, time, values):
-                order.append(("capture", values))
+                order.append(("capture", shape, time, values))
 
-        bus.subscribe(lambda event: order.append(("plain", event)))
+        bus.subscribe(lambda *record: order.append(("plain",) + record))
         bus.subscribe(Consumer())
-        bus.subscribe(lambda event: order.append(("plain", event)))
+        bus.subscribe(lambda *record: order.append(("plain",) + record))
         bus.emit(ev.RUNNABLE_SHAPE, 4, 2, "/b")
-        assert [tag for tag, __ in order] == ["plain", "capture", "plain"]
-        assert order[0][1] is order[2][1]
-        assert order[0][1].kind == ev.RUNNABLE
-        assert order[0][1].data == {"tid": 2, "node": "/b"}
-        assert order[1][1] == (2, "/b")
+        assert [entry[0] for entry in order] == ["plain", "capture", "plain"]
+        assert {entry[1:] for entry in order} == {
+            (ev.RUNNABLE_SHAPE, 4, (2, "/b"))}
+        # one values tuple, handed to every subscriber as emitted
+        assert order[0][3] is order[1][3] is order[2][3]
 
     def test_subscribers_called_in_subscription_order(self):
         bus = ev.EventBus()
         order = []
-        bus.subscribe(lambda e: order.append("first"))
-        bus.subscribe(lambda e: order.append("second"))
+        bus.subscribe(lambda shape, time, values: order.append("first"))
+        bus.subscribe(lambda shape, time, values: order.append("second"))
         bus.emit(ev.WAKE_SHAPE, 0, 1, "/")
         assert order == ["first", "second"]
 
     def test_subscription_context_manager_always_cleans_up(self):
         bus = ev.EventBus()
-        probe = []
         with pytest.raises(RuntimeError):
-            with bus.subscription(probe.append):
+            with bus.subscription(lambda shape, time, values: None):
                 assert bus.active
                 raise RuntimeError("boom")
         assert not bus.active
@@ -114,14 +124,15 @@ class TestBusMechanics:
         bus = ev.EventBus()
         with pytest.raises(TypeError):
             bus.subscribe("not callable")
+        assert not bus.active
 
     def test_unsubscribe_unknown_is_ignored(self):
-        ev.EventBus().unsubscribe(lambda e: None)
+        ev.EventBus().unsubscribe(lambda shape, time, values: None)
 
     def test_clear_detaches_everyone(self):
         bus = ev.EventBus()
-        bus.subscribe(lambda e: None)
-        bus.subscribe(lambda e: None)
+        bus.subscribe(lambda shape, time, values: None)
+        bus.subscribe(lambda shape, time, values: None)
         bus.clear()
         assert not bus.active
 
@@ -146,7 +157,8 @@ class TestInstrumentedRun:
 
     def test_emit_sites_cover_the_lifecycle(self):
         kinds = set()
-        harness, __ = self.build(lambda e: kinds.add(e.kind))
+        harness, __ = self.build(
+            lambda shape, time, values: kinds.add(shape.kind))
         harness.machine.run_until(50 * MS)
         for expected in (ev.SPAWN, ev.RUNNABLE, ev.DISPATCH, ev.SLICE,
                          ev.CHARGE, ev.TAG_UPDATE, ev.VTIME_ADVANCE):
@@ -155,7 +167,8 @@ class TestInstrumentedRun:
     def test_timestamps_are_monotonic_per_emit_order(self):
         harness, __ = self.build()
         times = []
-        with harness.engine.bus.subscription(lambda e: times.append(e.time)):
+        with harness.engine.bus.subscription(
+                lambda shape, time, values: times.append(time)):
             harness.machine.run_until(50 * MS)
         assert times and times == sorted(times)
 
@@ -163,7 +176,8 @@ class TestInstrumentedRun:
         harness, __ = self.build()
         nodes = set()
         with harness.engine.bus.subscription(
-                lambda e: nodes.add(e.get("node"))):
+                lambda shape, time, values: nodes.add(
+                    dict(zip(shape.fields, values)).get("node"))):
             harness.machine.run_until(50 * MS)
         assert "/apps" in nodes
 
@@ -185,17 +199,18 @@ class TestFairQueueLeafInHierarchy:
         seen = []
         machine = Machine(Simulator(), HierarchicalScheduler(structure),
                           capacity_ips=100_000_000, default_quantum=MS,
-                          tracer=seen.append)
+                          tracer=lambda shape, time, values: seen.append(
+                              dict(zip(shape.fields, values))))
         late = structure.mknod("/late", 1, scheduler=ScfqScheduler(10_000))
         leaked = []
-        with ev.BUS.subscription(leaked.append):
+        with ev.BUS.subscription(lambda *record: leaked.append(record)):
             for leaf in (early, late):
                 thread = SimThread(leaf.path, DhrystoneWorkload(300, 1_000))
                 leaf.attach_thread(thread)
                 machine.spawn(thread)
             machine.run_until(10 * MS)
-        leaf_tids = {event.get("tid") for event in seen
-                     if event.get("node") == "fq:scfq"}
+        leaf_tids = {data.get("tid") for data in seen
+                     if data.get("node") == "fq:scfq"}
         assert leaf_tids == {1, 2}
         assert leaked == []
 
@@ -218,12 +233,13 @@ class TestTracedOffDeterminism:
     def test_subscriber_does_not_change_the_run(self):
         baseline, end_a = collect_run(self.build, None)
         sink = []
-        traced, end_b = collect_run(self.build, sink.append)
+        traced, end_b = collect_run(
+            self.build, lambda *record: sink.append(record))
         assert sink, "the traced run must actually have produced events"
         assert end_a == end_b
         assert baseline == traced
 
     def test_two_traced_runs_are_identical(self):
-        first, __ = collect_run(self.build, lambda e: None)
-        second, __ = collect_run(self.build, lambda e: None)
+        first, __ = collect_run(self.build, lambda shape, time, values: None)
+        second, __ = collect_run(self.build, lambda shape, time, values: None)
         assert first == second

@@ -139,7 +139,8 @@ class TestRegistry:
 
 class TestSchedulerMetrics:
     def feed(self, metrics, kind, time, **data):
-        metrics(ev.Event(kind, time, data))
+        metrics.capture(ev.Shape(kind, tuple(data)), time,
+                        tuple(data.values()))
 
     def test_dispatch_latency_from_runnable(self):
         metrics = SchedulerMetrics()

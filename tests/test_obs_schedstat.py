@@ -38,11 +38,15 @@ class TestNodeStats:
         assert set(snap) == set(NodeStats.__slots__)
 
 
+def feed(stats, kind, time, **data):
+    stats.capture(ev.Shape(kind, tuple(data)), time, tuple(data.values()))
+
+
 class TestAttribution:
     def test_charges_roll_up_to_ancestors(self):
         stats = SchedStat()
-        stats(ev.Event(ev.CHARGE, 10, {"node": "/a/b", "work": 500}))
-        stats(ev.Event(ev.CHARGE, 20, {"node": "/a/c", "work": 300}))
+        feed(stats, ev.CHARGE, 10, node="/a/b", work=500)
+        feed(stats, ev.CHARGE, 20, node="/a/c", work=300)
         assert stats.nodes["/a/b"].service_work == 500
         assert stats.nodes["/a/c"].service_work == 300
         assert stats.nodes["/a"].service_work == 800
@@ -50,10 +54,8 @@ class TestAttribution:
 
     def test_tag_updates_stay_on_the_named_node(self):
         stats = SchedStat()
-        stats(ev.Event(ev.TAG_UPDATE, 0,
-                       {"node": "/a/b", "start": 2.0, "finish": 5.0}))
-        stats(ev.Event(ev.TAG_UPDATE, 1,
-                       {"node": "/a/b", "start": 1.0, "finish": 9.0}))
+        feed(stats, ev.TAG_UPDATE, 0, node="/a/b", start=2.0, finish=5.0)
+        feed(stats, ev.TAG_UPDATE, 1, node="/a/b", start=1.0, finish=9.0)
         record = stats.nodes["/a/b"]
         assert record.tag_updates == 2
         assert record.min_start == 1.0
@@ -62,7 +64,7 @@ class TestAttribution:
 
     def test_interrupts_are_machine_level(self):
         stats = SchedStat()
-        stats(ev.Event(ev.INTERRUPT, 0, {"cpu": 0, "service": 900}))
+        feed(stats, ev.INTERRUPT, 0, cpu=0, service=900)
         assert stats.interrupts == 1
         assert stats.interrupt_ns == 900
 
@@ -130,12 +132,14 @@ class TestSchedsanIntegration:
     def test_violation_event_carries_rule_and_node(self):
         scheduler, thread = self.make_violation_scenario()
         seen = []
-        with ev.BUS.subscription(seen.append):
+        with ev.BUS.subscription(lambda *record: seen.append(record)):
             scheduler.charge(thread, 1_000, now=7)
-        violations = [e for e in seen if e.kind == ev.VIOLATION]
+        violations = [(time, dict(zip(shape.fields, values)))
+                      for shape, time, values in seen
+                      if shape.kind == ev.VIOLATION]
         assert len(violations) == 1
-        event = violations[0]
-        assert event.time == 7
-        assert event.get("rule") == "charge-without-dispatch"
-        assert event.get("node") == "/apps"
-        assert "without a matching pick_next" in event.get("message")
+        time, data = violations[0]
+        assert time == 7
+        assert data["rule"] == "charge-without-dispatch"
+        assert data["node"] == "/apps"
+        assert "without a matching pick_next" in data["message"]

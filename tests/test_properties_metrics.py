@@ -12,14 +12,14 @@ from repro.workloads.periodic import PeriodicWorkload
 
 
 def build_trace(gaps_and_lengths):
-    """Feed a Recorder one thread's slice events from (gap, length, work)
+    """Feed a Recorder one thread's slice records from (gap, length, work)
     specs; returns that thread's trace and the last slice end."""
     recorder = Recorder()
     t = 0
     for gap, length, work in gaps_and_lengths:
         t += gap
-        recorder(ev.Event(ev.SLICE, t + length,
-                          {"tid": 1, "node": "/", "start": t, "work": work}))
+        recorder.capture(ev.SLICE_SHAPE, t + length,
+                         (1, "t1", "/", 0, t, work))
         t += length
     return recorder.threads[1], t
 

@@ -70,7 +70,7 @@ class TestMknod:
             structure.mknod("/a/b/c", 1)
 
     def test_zero_weight_rejected(self, structure):
-        for weight in (0, float("nan"), 2.5, Fraction(5, 2)):
+        for weight in (0, float("nan"), 2.5, Fraction(5, 2), True):
             with pytest.raises(StructureError):
                 structure.mknod("/apps", weight)
 
@@ -189,8 +189,11 @@ class TestAdmin:
 
     def test_set_invalid_weight(self, structure):
         structure.mknod("/x", 3)
-        with pytest.raises(StructureError):
-            structure.admin("/x", ADMIN_SET_WEIGHT, 0)
+        # rejected, never truncated or converted
+        for weight in (0, 2.5, float("nan"), "3", True):
+            with pytest.raises(StructureError):
+                structure.admin("/x", ADMIN_SET_WEIGHT, weight)
+        assert structure.parse("/x").weight == 3
 
     def test_info_internal(self, structure):
         structure.mknod("/x", 3)

@@ -136,7 +136,7 @@ class TestSimThread:
         assert not thread.alive
 
     def test_weight_must_be_positive(self):
-        for weight in (0, float("nan"), 2.5, Fraction(5, 2)):
+        for weight in (0, float("nan"), 2.5, Fraction(5, 2), True):
             with pytest.raises(ValueError):
                 SimThread("x", SegmentListWorkload([]), weight=weight)
 
@@ -144,7 +144,7 @@ class TestSimThread:
         thread = self.make()
         thread.set_weight(5)
         assert thread.weight == 5
-        for weight in (-1, float("nan"), 2.5, Fraction(5, 2)):
+        for weight in (-1, float("nan"), 2.5, Fraction(5, 2), True):
             with pytest.raises(ValueError):
                 thread.set_weight(weight)
         assert thread.weight == 5

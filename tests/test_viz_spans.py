@@ -11,7 +11,6 @@ from repro.cpu.machine import Machine
 from repro.hsfq import hsfq_move
 from repro.obs import events as ev
 from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter
-from repro.obs.events import Event
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
@@ -24,14 +23,11 @@ from repro.viz.spans import Span, extract_spans, node_depth
 from repro.workloads.dhrystone import DhrystoneWorkload
 
 EVENTS = [
-    Event(ev.SLICE, 30, {"tid": 1, "name": "a", "node": "/apps/rt",
-                         "cpu": 0, "start": 10, "work": 2000}),
-    Event(ev.SLICE, 60, {"tid": 2, "name": "b", "node": "/apps",
-                         "cpu": 0, "start": 30, "work": 3000}),
-    Event(ev.PREEMPT, 30, {"tid": 1, "name": "a", "node": "/apps/rt"}),
-    Event(ev.INTERRUPT, 60, {"cpu": 0, "service": 15}),
-    Event(ev.SLICE, 100, {"tid": 1, "name": "a", "node": "/apps/rt",
-                          "cpu": 0, "start": 75, "work": 2500}),
+    (ev.SLICE_SHAPE, 30, (1, "a", "/apps/rt", 0, 10, 2000)),
+    (ev.SLICE_SHAPE, 60, (2, "b", "/apps", 0, 30, 3000)),
+    (ev.PREEMPT_SHAPE, 30, (1, "/apps/rt")),
+    (ev.INTERRUPT_SHAPE, 60, (0, 15)),
+    (ev.SLICE_SHAPE, 100, (1, "a", "/apps/rt", 0, 75, 2500)),
 ]
 
 
@@ -93,7 +89,8 @@ class TestExtractFromRecorder:
         other = harness.structure.mknod("/other", 1,
                                         scheduler=SfqScheduler())
         events = []
-        with harness.engine.bus.subscription(events.append):
+        with harness.engine.bus.subscription(
+                lambda *record: events.append(record)):
             thread = harness.spawn_segments(
                 "mover", [Compute(10_000), SleepFor(20 * MS),
                           Compute(10_000), SleepFor(SECOND)])
