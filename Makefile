@@ -1,6 +1,6 @@
 # Convenience targets; plain pytest works too.
 
-.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine enginediff lint perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
+.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine lint perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
 
 install:
 	pip install -e .
@@ -29,13 +29,9 @@ engine:
 	python -c "from repro.core.engine import build_extension; \
 		print(build_extension(quiet=False))"
 
-# Cross-engine byte-identity gate (see docs/PERFORMANCE.md).
-enginediff:
-	python -m repro.devtools.enginediff
-
 lint:
 	PYTHONPATH=src python -m repro.devtools.schedlint src/
-	PYTHONPATH=src python -m repro.devtools.schedflow --jobs 2 \
+	PYTHONPATH=src python -m repro.devtools.schedflow \
 		--baseline devtools/schedflow-baseline.json src/repro
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy --config-file setup.cfg; \

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import time
@@ -67,6 +68,12 @@ SIM_NS = 2 * DURATION
 THREADS = 14
 
 
+def suite_counters() -> int:
+    """1 when the test suite's ``REPRO_OBS=1`` counter rides on every run
+    bus (``tests/conftest.py``), else 0."""
+    return int(os.environ.get("REPRO_OBS", "") not in ("", "0"))
+
+
 def run_figure5(*factories: Callable[[], Any]
                 ) -> Tuple[ExperimentResult, List[Any]]:
     """``figure5.run(duration=DURATION)`` arm by arm, with a fresh
@@ -80,9 +87,11 @@ def run_figure5(*factories: Callable[[], Any]
             collector = factory()
             setup.engine.bus.subscribe(collector)
             collectors.append(collector)
-        # the arm's private run bus: its Recorder plus these collectors,
-        # whatever the process bus carries
-        assert setup.engine.bus.subscriber_count() == 1 + len(factories)
+        # the arm's private run bus: its Recorder, the suite's counter
+        # when present, plus these collectors, whatever the process bus
+        # carries
+        assert setup.engine.bus.subscriber_count() == \
+            1 + suite_counters() + len(factories)
         # figure5.run's defaults: five Dhrystones, daemon seed 11
         arms.append((setup, figure5.run_arm(setup, 5, DURATION, 11)))
     return figure5.compare(arms[0], arms[1], DURATION), collectors

@@ -13,8 +13,8 @@ byte-identical for ``--shards 1`` and ``--shards N`` by construction.
 Worker processes are rebuilt from pickled *specs* (plain slotted data
 objects) — a live simulator never crosses a process boundary.  The pipe
 protocol is strictly request/reply in shard-index order, so no result
-ordering ever depends on OS scheduling (the faultlab/parjobs pool
-discipline, adapted to persistent workers).
+ordering ever depends on OS scheduling (the faultlab pool discipline,
+adapted to persistent workers).
 """
 
 from __future__ import annotations

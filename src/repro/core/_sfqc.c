@@ -8,7 +8,7 @@
  * function here is a behavioural mirror of the pure-python definition — same
  * state writes in the same order, same heap entry tuples, same
  * arithmetic — so the two engines are byte-identical on traces and
- * schedstat (gated in CI by the golden fixtures and enginediff).
+ * schedstat (gated in CI by the committed golden fixtures).
  *
  * Data contract (see sfq.py for the authoritative index tables):
  *   queue._cview = [heap, state, ent, start, fin, run, ver, seq,

@@ -30,11 +30,12 @@ built or loaded the import **fails** rather than silently falling back,
 so a CI leg that asks for the compiled engine cannot accidentally test
 the pure one.  Unset (or ``pure``) never touches the compiler.
 
-Byte-identity between the engines is a hard contract, pinned three ways:
-the golden-trace fixtures run under both engines in CI, the
-``enginediff`` devtool replays Figure-5, depth-8 and Figure-8 workloads under
-both and diffs traces and schedstat, and the property suite
-cross-checks queue observables after random operation sequences.
+Byte-identity between the engines is a hard contract, pinned two ways:
+CI runs the test suite under both engines, so each must reproduce the
+committed golden fixtures (event streams, Recorder views, and the
+counters of untraced runs, where the compiled tick engages), and the
+property suite cross-checks queue observables after random operation
+sequences.
 """
 
 from __future__ import annotations

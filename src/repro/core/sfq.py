@@ -552,19 +552,9 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
 
 # --- engine selection --------------------------------------------------------
 #
-# Keep references to the pure implementations (tests and the equivalence
-# gate call them explicitly), then let the selected engine rebind the
-# public hot-path names.  Downstream modules import these names *after*
-# this module body runs, so the rebinding is visible everywhere.
-
-pick_leaf_pure = pick_leaf
-charge_chain_pure = charge_chain
-wake_chain_pure = wake_chain
-sleep_chain_pure = sleep_chain
-queue_pick_pure = queue_pick
-queue_charge_pure = queue_charge
-queue_set_runnable_pure = queue_set_runnable
-queue_set_blocked_pure = queue_set_blocked
+# Let the selected engine rebind the public hot-path names.  Downstream
+# modules import these names *after* this module body runs, so the
+# rebinding is visible everywhere.
 
 from repro.core import engine as _engine  # noqa: E402  (needs SfqQueue defined)
 

@@ -37,10 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes or prefixes to report "
              "(e.g. SF205 or SF4; default: all)")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan the analysis across N worker processes; output is "
-             "byte-identical to a serial run (default: 1)")
-    parser.add_argument(
         "--baseline", metavar="FILE",
         help="suppress findings fingerprinted in this baseline file")
     parser.add_argument(
@@ -94,19 +90,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
 
     try:
-        if options.jobs > 1:
-            from repro.devtools.schedflow.parjobs import analyze_paths_jobs
-            findings, source_lines = analyze_paths_jobs(
-                options.paths, options.jobs, select=select)
-        else:
-            index = ProjectIndex.load(options.paths)
-            findings = analyze_project(index, select=select)
-            source_lines = {
-                entry.path: entry.source.splitlines()
-                for entry in index.entries}
-            source_lines.update(
-                (centry.path, centry.source.splitlines())
-                for centry in index.centries)
+        index = ProjectIndex.load(options.paths)
+        findings = analyze_project(index, select=select)
+        source_lines = {
+            entry.path: entry.source.splitlines()
+            for entry in index.entries}
+        source_lines.update(
+            (centry.path, centry.source.splitlines())
+            for centry in index.centries)
         if options.baseline:
             findings = apply_baseline(
                 findings, load_baseline(options.baseline), source_lines)

@@ -81,17 +81,9 @@ _PASSES = (TaintPass, UnitsPass, SharedStatePass, ParallelPass, SeamPass)
 
 
 def analyze_project(index: ProjectIndex,
-                    select: Optional[Iterable[str]] = None,
-                    paths: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Run all passes; returns deduped, suppression-filtered findings.
-
-    ``paths`` optionally restricts *emission* to findings in the given
-    file paths while still analyzing the whole project — the ``--jobs``
-    sharding uses this so every worker sees full interprocedural
-    context but reports only its own bucket.
-    """
+                    select: Optional[Iterable[str]] = None) -> List[Finding]:
+    """Run all passes; returns deduped, suppression-filtered findings."""
     wanted = set(select) if select is not None else None
-    emit_paths = set(paths) if paths is not None else None
     raw: List[Finding] = []
     for pass_cls in _PASSES:
         raw.extend(pass_cls(index).run())
@@ -101,8 +93,6 @@ def analyze_project(index: ProjectIndex,
     findings: List[Finding] = []
     for finding in raw:
         if wanted is not None and finding.code not in wanted:
-            continue
-        if emit_paths is not None and finding.path not in emit_paths:
             continue
         key = (finding.path, finding.line, finding.col,
                finding.code, finding.message)

@@ -62,8 +62,8 @@ class CFileEntry:
 
     C files are not AST-parsed here — the seam pass runs the
     :mod:`repro.devtools.schedflow.cext` extractor on demand — but they
-    participate in project loading, ``--jobs`` sharding, and baseline
-    fingerprinting exactly like Python entries.
+    participate in project loading and baseline fingerprinting exactly
+    like Python entries.
     """
 
     __slots__ = ("path", "source")

@@ -2,10 +2,11 @@
 
 The compiled engine (``repro/core/_sfqc.c``) re-implements the SFQ hot
 path against the same arena columns the pure-python functions in
-``repro/core/sfq.py`` mutate.  The dynamic enginediff gate catches
-divergence only on the workloads it replays; this pass proves a class of
-divergences *statically* by joining the C structural view
-(:mod:`repro.devtools.schedflow.cext`) against the Python project index:
+``repro/core/sfq.py`` mutate.  The golden fixtures, which the suite
+checks under both engines, catch divergence only on the scenarios they
+run; this pass proves a class of divergences *statically* by joining
+the C structural view (:mod:`repro.devtools.schedflow.cext`) against the
+Python project index:
 
 SF501 ``cview-layout-mismatch``
     The C ``CV_*``/``ST_*``/``CH_*`` enums must agree — member for

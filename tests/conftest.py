@@ -81,13 +81,19 @@ class FlatHarness:
 
 @pytest.fixture(autouse=True, scope="session")
 def obs_bus_subscriber():
-    """With ``REPRO_OBS=1``, keep a counting subscriber on the event bus for
-    the whole session, so every emit site actually runs (and every result
-    the suite asserts on is produced with instrumentation active — the
-    observability analogue of the SCHEDSAN suite run)."""
+    """With ``REPRO_OBS=1``, keep a counting subscriber on every run's bus
+    for the whole session, so every emit site actually runs (and every
+    result the suite asserts on is produced with instrumentation active —
+    the observability analogue of the SCHEDSAN suite run).
+
+    Every run's bus means the process bus and each private bus a machine
+    makes for its ``tracer=``, so a traced run carries a second
+    subscriber too.  A bus a test builds itself is left as it is.
+    """
     if os.environ.get("REPRO_OBS", "") in ("", "0"):
         yield None
         return
+    from repro.cpu.machine import MachineBase
     from repro.obs import events as ev
 
     counts: dict = {}
@@ -95,9 +101,19 @@ def obs_bus_subscriber():
     def count(shape: ev.Shape, time: int, values: tuple) -> None:
         counts[shape.kind] = counts.get(shape.kind, 0) + 1
 
+    build_machine = MachineBase.__init__
+
+    def build_counted(self, engine, *args, **kwargs) -> None:
+        shared = engine.bus
+        build_machine(self, engine, *args, **kwargs)
+        if engine.bus is not shared:  # the run bus this machine made
+            engine.bus.subscribe(count)
+
     ev.BUS.subscribe(count)
     try:
-        yield counts
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(MachineBase, "__init__", build_counted)
+            yield counts
     finally:
         ev.BUS.unsubscribe(count)
     assert counts, "REPRO_OBS=1 run saw no events at all"

@@ -20,6 +20,11 @@ def main() -> None:
             name, goldens.tracer_recorder(name))
         print("%-12s %7d threads sha256=%s  (Recorder fixture)" % (
             name, payload["threads"], payload["sha256"]))
+    for name in goldens.SCHEDSTAT_NAMES:
+        payload = goldens.write_schedstat_fixture(
+            name, goldens.schedstat_lines(name))
+        print("%-12s %7d lines   sha256=%s  (schedstat fixture)" % (
+            name, len(payload["lines"]), payload["sha256"]))
     raw = goldens.write_binlog_fixture()
     print("%-12s %7d bytes  (binary trace fixture)"
           % ("obs_demo", len(raw)))

@@ -4,8 +4,13 @@
 deferred capture at 1.5x the traced-off run; neither CI nor the suite
 runs it otherwise.  This runs its ``measure()`` for two rounds, without
 the wall-time gate, and checks that every instrumentation level leaves
-the experiment's result unchanged.
+the experiment's result unchanged, and that the suite's ``REPRO_OBS=1``
+counter reaches the traced runs it measures.
 """
+
+from repro.experiments import figure5
+from repro.schedulers.sfq_leaf import SfqScheduler
+from repro.units import SECOND
 
 from benchmarks import bench_obs_overhead as bench
 
@@ -36,3 +41,17 @@ def test_every_variant_returns_the_plain_rows():
     result, collectors = bench.run_observed()
     assert result.rows == rows
     assert sum(builder.event_count for builder in collectors[1::2]) == EVENTS
+
+
+def test_suite_counter_rides_on_each_traced_run(obs_bus_subscriber):
+    """Under ``REPRO_OBS=1`` the suite's counter sits beside an arm's
+    Recorder on its private run bus and counts that run; otherwise the
+    Recorder is alone there."""
+    setup = figure5.build_arm(SfqScheduler())
+    present = obs_bus_subscriber is not None
+    assert bench.suite_counters() == present
+    assert setup.engine.bus.subscriber_count() == 1 + present
+    if present:
+        dispatches = obs_bus_subscriber.get("dispatch", 0)
+        figure5.run_arm(setup, 5, SECOND, 11)
+        assert obs_bus_subscriber["dispatch"] > dispatches

@@ -88,3 +88,24 @@ class TestRunnerCoverage:
             else:
                 name = exp_id
             assert name in EXPERIMENTS, name
+
+
+class TestObservabilityDoc:
+    def test_worked_example_output(self, tmp_path, monkeypatch, capsys):
+        """``record`` then ``info`` print what the worked example shows,
+        up to the ``...`` where the page cuts the per-kind table."""
+        from repro.obs.cli import main
+
+        text = read("docs/OBSERVABILITY.md")
+        block = re.search(r"### Worked example\n\n```bash\n(.*?)```",
+                          text, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        for command in ("record", "info"):
+            match = re.search(r"^\$ python -m repro\.obs (%s .*)\n"
+                              r"((?:(?!\$ ).+\n)*)" % command, block, re.M)
+            shown = match.group(2).splitlines()
+            if "  ..." in shown:
+                shown = shown[:shown.index("  ...")]
+            assert main(match.group(1).split()) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[:len(shown)] == shown

@@ -1,8 +1,9 @@
 """Tests for the ``REPRO_ENGINE`` seam (``repro.core.engine``).
 
-Engine selection happens at import time, so cross-engine behaviour is
-exercised through subprocesses; the in-process tests cover the cache
-keying, the hard-failure contract, and the enginediff probe machinery.
+Engine selection happens at import time, so it is exercised through
+subprocesses; the in-process tests cover the cache keying and the
+hard-failure contract.  Cross-engine behaviour is pinned by the golden
+fixtures, which the suite checks under either engine.
 """
 
 import os
@@ -12,7 +13,6 @@ import sys
 import pytest
 
 from repro.core import engine as engine_mod
-from repro.devtools import enginediff
 from repro.devtools.schedflow import cext
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -99,23 +99,3 @@ class TestBuildCache:
         exported = [name for name, _symbol, _line in module.method_table]
         assert sorted(exported) == sorted(engine_mod._OP_NAMES)
 
-
-class TestEnginediffProbes:
-    def test_emit_is_deterministic_in_process(self):
-        first = enginediff.emit("figure5", "schedstat")
-        second = enginediff.emit("figure5", "schedstat")
-        assert first == second
-        assert first.startswith("engine events_fired=")
-
-    def test_emit_rejects_unknown_probe(self):
-        with pytest.raises(ValueError):
-            enginediff.emit("figure5", "heisenstat")
-
-    def test_scenario_registry(self):
-        assert set(enginediff.SCENARIOS) == {"figure5", "depth8", "figure8"}
-        assert enginediff.PROBES == ("trace", "schedstat")
-
-    def test_trace_probe_collects_events(self):
-        text = enginediff.emit("figure5", "trace")
-        assert "spawn t=" in text or "SPAWN" in text or "dispatch" in text
-        assert len(text.splitlines()) > 100

@@ -4,7 +4,8 @@ These tests are the safety net for hot-path optimization work: the
 scheduler/engine fast paths must produce *byte-identical* observability
 event streams to the recorded fixtures in ``tests/fixtures/golden/``.
 The Recorder fixtures pin what a ``Recorder`` keeps for four of the
-scenarios.  Regenerate fixtures only for intentional behaviour changes —
+scenarios, and the schedstat fixtures every counter of three untraced
+runs.  Regenerate fixtures only for intentional behaviour changes —
 see ``tests/regen_goldens.py``.
 """
 
@@ -55,6 +56,16 @@ def test_recorder_matches_committed_fixture(name, mode):
         fixture["sha256"], (
             "%s Recorder of golden scenario %r diverged from the committed "
             "fixture" % (mode, name))
+
+
+@pytest.mark.parametrize("name", goldens.SCHEDSTAT_NAMES)
+def test_schedstat_matches_committed_fixture(name):
+    """An untraced run, the regime in which the compiled tick engages,
+    leaves every engine, machine and per-thread counter as pinned."""
+    fixture = goldens.load_schedstat_fixture(name)
+    lines = goldens.schedstat_lines(name)
+    assert lines == fixture["lines"]
+    assert goldens.stream_digest(lines) == fixture["sha256"]
 
 
 @pytest.mark.parametrize("name", sorted(goldens.RUNS))

@@ -4,7 +4,7 @@ The binlog's whole contract is that recording to disk loses nothing: the
 Chrome trace JSON, the schedstat text and the scheduler-metrics snapshot
 produced by *replaying* a binlog must be identical to what the in-memory
 collectors produced *live* on the same run.  Checked on both arms of the
-Figure-5 experiment and on enginediff's depth-8 hierarchy, plus the
+Figure-5 experiment and on the golden depth-8 hierarchy, plus the
 committed golden binlog fixture.
 """
 
@@ -13,7 +13,6 @@ import io
 
 import pytest
 
-from repro.devtools import enginediff
 from repro.experiments import figure5
 from repro.obs import events as ev
 from repro.obs.binlog import BinaryTraceReader, BinaryTraceWriter, replay
@@ -50,8 +49,8 @@ def replay_collectors(raw):
 
 
 def run_deep_hierarchy():
-    """enginediff's depth8 scenario, shortened."""
-    machine, __, ___ = enginediff.SCENARIOS["depth8"]()
+    """The golden depth8 scenario, shortened."""
+    machine = goldens.build_depth8()
     machine.run_until(300 * MS)
 
 

@@ -4,26 +4,20 @@ The may-happen-in-parallel core is pure graph code, so its algebraic
 laws (symmetry, monotonicity in both the edge set and the entrypoint
 set) are checked with hypothesis over random call graphs; the
 source-level behaviors (pool-site detection, ``functools.partial``
-unwrapping, cross-file global writes, ``--jobs`` determinism) are
-checked on small synthetic projects.
+unwrapping, cross-file global writes) are checked on small synthetic
+projects.
 """
-
-from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.devtools.schedflow import analyze_paths, analyze_project
+from repro.devtools.schedflow import analyze_project
 from repro.devtools.schedflow.parallel import (
     MhpRelation,
     module_mutable_globals,
     reachable,
 )
-from repro.devtools.schedflow.parjobs import analyze_paths_jobs, bucketize
 from repro.devtools.schedflow.project import ProjectIndex
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "schedflow"
 
 NAMES = ["f%d" % i for i in range(6)]
 
@@ -202,29 +196,3 @@ class TestPassInternals:
         findings = analyze_project(_project(source))
         assert [f.code for f in findings] == ["SF401"]
 
-
-class TestJobsSharding:
-    def test_bucketize_is_order_insensitive_and_total(self):
-        files = ["b.py", "a.py", "c.py", "d.py", "e.py"]
-        buckets = bucketize(files, 2)
-        again = bucketize(list(reversed(files)), 2)
-        assert buckets == again
-        flat = sorted(path for bucket in buckets for path in bucket)
-        assert flat == sorted(files)
-
-    def test_bucketize_drops_empty_buckets(self):
-        assert bucketize(["a.py"], 4) == [["a.py"]]
-
-    def test_jobs_findings_match_serial(self):
-        paths = [str(FIXTURES)]
-        serial = analyze_paths(paths)
-        pooled, source_lines = analyze_paths_jobs(paths, 3)
-        assert [str(f) for f in pooled] == [str(f) for f in serial]
-        assert serial  # the fixture corpus is not accidentally empty
-        assert {f.path for f in pooled} <= set(source_lines)
-
-    def test_single_bucket_runs_serially(self):
-        path = str(FIXTURES / "sf401_bad_worker_registry.py")
-        pooled, __ = analyze_paths_jobs([path], 4)
-        serial = analyze_paths([path])
-        assert [str(f) for f in pooled] == [str(f) for f in serial]

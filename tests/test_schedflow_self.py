@@ -143,19 +143,6 @@ class TestCli:
         assert result.returncode == 0
         assert result.stdout == ""
 
-    def test_jobs_output_is_byte_identical_to_serial(self):
-        serial = _run_cli(str(FIXTURES))
-        pooled = _run_cli("--jobs", "4", str(FIXTURES))
-        assert pooled.returncode == serial.returncode == 1
-        assert pooled.stdout == serial.stdout
-
-    def test_jobs_clean_run_exits_zero(self):
-        result = _run_cli("--select", "SF4", "--jobs", "2",
-                          str(FIXTURES / "sf403_ok_derived_seed.py"),
-                          str(FIXTURES / "sf406_ok_spec_config.py"))
-        assert result.returncode == 0
-        assert "schedflow: clean" in result.stdout
-
     def test_select_prefix_matches_a_family(self):
         result = _run_cli("--select", "SF4",
                           str(FIXTURES / "sf204_bad_weight_store.py"))

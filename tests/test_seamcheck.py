@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.schedflow import RULES, analyze_paths, analyze_project
-from repro.devtools.schedflow.parjobs import analyze_paths_jobs
 from repro.devtools.schedflow.project import ProjectIndex
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -231,11 +230,3 @@ class TestCli:
         result = _run_cli("--select", ",", str(SEAM / "sf505_bad.c"))
         assert result.returncode == 2
 
-
-class TestParallelIncludesSeam:
-    def test_jobs_matches_serial_over_mixed_sources(self):
-        paths = [str(SEAM)]
-        serial = analyze_paths(paths)
-        jobs, _sources = analyze_paths_jobs(paths, jobs=2)
-        assert [str(f) for f in jobs] == [str(f) for f in serial]
-        assert any(f.code.startswith("SF5") for f in serial)

@@ -12,13 +12,14 @@ from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
 from repro.core.tags import FLOAT
 from repro.cpu.machine import Machine
-from repro.devtools import enginediff
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.threads.segments import Compute, SegmentListWorkload, SleepFor
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND
+
+from tests import goldens
 
 STORM_THREADS = 20_000
 
@@ -69,7 +70,8 @@ class TestScaleStorm:
 
 
 class TestEnginediffCounts:
-    """enginediff's scenarios, untraced, so the compiled turbo tick runs."""
+    """The cross-engine golden scenarios, untraced, so the compiled tick
+    runs; ``figure8`` is the golden ``figure8_irq`` run."""
 
     @pytest.mark.parametrize("scenario, horizon, counts", [
         ("figure5", 2 * SECOND, (169, 3, 150, 150, 0, 0, 22, 20)),
@@ -77,7 +79,10 @@ class TestEnginediffCounts:
         ("figure8", 2 * SECOND, (329, 2, 121, 121, 206, 204, 3, 3)),
     ])
     def test_counts(self, scenario, horizon, counts):
-        machine, __, ___ = enginediff.SCENARIOS[scenario]()
+        build = {"figure5": goldens.build_figure5,
+                 "depth8": goldens.build_depth8,
+                 "figure8": goldens.build_figure8_irq}[scenario]
+        machine = build()
         machine.run_until(horizon)
         engine = machine.engine
         stats = machine.stats
