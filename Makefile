@@ -1,6 +1,6 @@
 # Convenience targets; plain pytest works too.
 
-.PHONY: install test test-schedsan test-obs test-faultlab test-compiled test-cluster engine lint perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
+.PHONY: install test test-schedsan test-obs test-faultlab test-cluster lint perfbench-check microbench experiments quick-experiments examples obs-demo obs-record cluster-demo cluster-gate clean
 
 install:
 	pip install -e .
@@ -18,16 +18,6 @@ test-obs:
 # shrunk reproducers to faultlab-repros/ on failure.
 test-faultlab:
 	python -m repro.faultlab run --quick --workers 2 --repro-dir faultlab-repros
-
-# The same suite on the compiled engine (builds repro/core/_sfqc.c on
-# first use; hard-fails rather than falling back to pure).
-test-compiled:
-	REPRO_ENGINE=compiled pytest tests/ -q
-
-# Build (or reuse) the compiled-engine artifact under build/engine/.
-engine:
-	python -c "from repro.core.engine import build_extension; \
-		print(build_extension(quiet=False))"
 
 lint:
 	PYTHONPATH=src python -m repro.devtools.schedlint src/

@@ -6,8 +6,9 @@ arrival sequence — in the flat parallel lists of one :class:`SfqArena`,
 indexed by a dense integer *slot*.  Objects (tree nodes, threads) appear
 only at the API edge: the queue maps ``id(entity)`` to a slot once per
 operation and everything below that line is list indexing, which is what
-lets the compiled engine (``repro.core.engine``) run the dispatch loops
-over raw columns without touching Python attribute protocol.
+lets the hot paths (the cached ancestor chains and the per-dispatch
+descent in :mod:`repro.core.sfq`) run over raw columns without touching
+Python attribute protocol.
 
 Slots are recycled through a free list on removal (``hsfq_rmnod``, thread
 exit).  Two invariants make recycling safe:
@@ -22,8 +23,8 @@ exit).  Two invariants make recycling safe:
   from one occupant of a slot to the next.
 
 The columns are **never rebound**: they grow in place via ``append`` so
-cached references to the list objects (chain caches, the compiled engine's
-column views) stay valid for the lifetime of the arena.
+cached references to the list objects (the chain caches and each queue's
+column view) stay valid for the lifetime of the arena.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.node import InternalNode, LeafNode, Node, require_leaf
+# The hot walks are called through these module-level names, where the
+# benchmark's per-layer tracer patches them to count sfq.chain_calls.
 from repro.core.sfq import (
     _CH_ENTITY,
     _CH_FIN,

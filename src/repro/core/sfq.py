@@ -40,21 +40,21 @@ charge that finds the in-service entry still at the top re-keys it in
 place (one ``heapreplace``) instead of pushing a second entry; the valid
 entries and their keys are the same either way.  Mutable queue scalars
 (virtual time, max finish tag, in-service slot, runnable count) sit in
-the four-element ``_state`` list so the compiled engine
-(``repro.core.engine``) can read and write them without attribute
+the four-element ``_state`` list, so the cached ancestor chains and the
+descent's column view read and write them by index, without attribute
 protocol.  Queues with a single registered entity run in *solo* mode:
 ordering is trivial, so the heap stays empty and stamping skips heap
 pushes entirely — observable behaviour (picks, tags, virtual time) is
 identical, which the golden-trace suite pins.
 
-Engine seam
------------
-The module-level hot functions (:func:`pick_leaf`, :func:`charge_chain`,
-:func:`wake_chain`, :func:`sleep_chain`, and the ``queue_*`` per-queue
-operations) are rebound to their C implementations at import time when
-``REPRO_ENGINE=compiled`` — see ``repro/core/engine.py``.  The pure-python
-definitions below are the always-available fallback and the behavioural
-reference the compiled engine is gated against.
+Module-level hot functions
+--------------------------
+The hierarchy imports :func:`pick_leaf`, :func:`charge_chain`,
+:func:`wake_chain`, :func:`sleep_chain` and :func:`build_ancestor_chain`,
+and the SFQ leaf scheduler the ``queue_*`` per-queue operations, as
+module-level names rather than calling methods.  The benchmark's
+per-layer tracer (``perfbench/spans.py``) patches those names in the
+importing modules to count ``sfq.chain_calls`` and ``sfq.queue_ops``.
 """
 
 from __future__ import annotations
@@ -66,25 +66,20 @@ from repro.core.arena import SfqArena
 from repro.core.tags import EXACT, Tag, TagMath
 from repro.errors import SchedulingError
 
-# Indices into SfqQueue._state (mirrored by the compiled engine).
+# Indices into SfqQueue._state.
 _VT = 0    # virtual time v
 _MF = 1    # maximum finish tag ever assigned
 _SRV = 2   # slot currently in service, -1 when none
 _RC = 3    # count of runnable entities
 
-# Indices into SfqQueue._cview (mirrored by the compiled engine).
+# Indices into SfqQueue._cview, the columns pick_leaf reads.
 _CV_HEAP = 0
 _CV_STATE = 1
 _CV_ENT = 2
 _CV_START = 3
-_CV_FIN = 4
-_CV_RUN = 5
-_CV_VER = 6
-_CV_SEQ = 7
-_CV_SOLO = 8
-_CV_FLOAT = 9
-_CV_TAGS = 10
-_CV_SLOTS = 11
+_CV_RUN = 4
+_CV_VER = 5
+_CV_SOLO = 6
 
 
 class SfqQueue:
@@ -114,16 +109,12 @@ class SfqQueue:
         # level.  Exact mode and custom TagMath objects take the slow path.
         self._float_fast = (type(self.tags) is TagMath
                             and not self.tags.exact)
-        # Column view for the descent/compiled hot paths: stable references
-        # to the heap, state vector and arena columns (none of which are
-        # ever rebound), plus the solo slot mirrored at _CV_SOLO.  The
-        # compiled engine reads *only* this list, so it is the complete
-        # C-visible descriptor of the queue.
+        # Column view for the per-dispatch descent (pick_leaf): stable
+        # references to the heap, state vector and arena columns (none of
+        # which are ever rebound), plus the solo slot mirrored at _CV_SOLO,
+        # so the descent reads each level by index, not by attribute.
         self._cview: List[Any] = [self._heap, self._state, arena.ent,
-                                  arena.start, arena.fin, arena.run,
-                                  arena.ver, arena.seq, -1,
-                                  1 if self._float_fast else 0,
-                                  self.tags, self._slots]
+                                  arena.start, arena.run, arena.ver, -1]
 
     # --- membership ---------------------------------------------------
 
@@ -357,12 +348,12 @@ class SfqQueue:
         return self._slot_of(entity)
 
 
-# --- module-level per-queue operations (engine-swappable) --------------------
+# --- module-level per-queue operations ---------------------------------------
 #
-# The leaf SFQ scheduler goes through these module-level names instead of
-# the bound methods, so selecting the compiled engine routes its per-thread
-# queue operations through the same seam as the hierarchy's chain walks
-# below.
+# The leaf SFQ scheduler calls these module-level names instead of the
+# bound methods, so the benchmark's per-layer tracer can patch them where
+# repro.schedulers.sfq_leaf imports them, as it patches the hierarchy's
+# chain walks below.
 
 queue_pick = SfqQueue.pick
 queue_set_runnable = SfqQueue.set_runnable
@@ -377,7 +368,7 @@ def queue_charge(queue: SfqQueue, entity: Any, length: int) -> None:
 #: one ancestor level of a cached chain (see :func:`build_ancestor_chain`)
 ChainEntry = Tuple[Any, ...]
 
-# Indices into a chain entry (mirrored by the compiled engine).
+# Indices into a chain entry (the walks below unpack it in this order).
 _CH_QUEUE = 0
 _CH_FLOAT = 1
 _CH_SOLO = 2
@@ -549,21 +540,3 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
             return
         parent.runnable = False
 
-
-# --- engine selection --------------------------------------------------------
-#
-# Let the selected engine rebind the public hot-path names.  Downstream
-# modules import these names *after* this module body runs, so the
-# rebinding is visible everywhere.
-
-from repro.core import engine as _engine  # noqa: E402  (needs SfqQueue defined)
-
-if _engine.OPS is not None:
-    pick_leaf = _engine.OPS.pick_leaf
-    charge_chain = _engine.OPS.charge_chain
-    wake_chain = _engine.OPS.wake_chain
-    sleep_chain = _engine.OPS.sleep_chain
-    queue_pick = _engine.OPS.queue_pick
-    queue_charge = _engine.OPS.queue_charge
-    queue_set_runnable = _engine.OPS.queue_set_runnable
-    queue_set_blocked = _engine.OPS.queue_set_blocked

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.engine import OPS as _ENGINE_OPS
 from repro.cpu.costs import SchedulingCostModel
 from repro.cpu.interface import TopScheduler
 from repro.cpu.interrupts import InterruptSource
@@ -56,13 +55,6 @@ from repro.threads.segments import Compute, Exit, SleepFor, SleepUntil
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND, work_from_time
-
-#: the compiled burst-completion tick (``None`` on the pure engine).  The
-#: C function mirrors _on_burst_complete -> _account_burst ->
-#: _finish_dispatch -> _maybe_dispatch for the common case (hierarchical
-#: scheduler, SFQ leaf, zero-cost model, inactive ``_bus``, no interrupt
-#: in service) and bails to the Python methods for everything else.
-_TURBO_TICK = getattr(_ENGINE_OPS, "machine_tick", None)
 
 _OUTCOME_RUN = "run"
 _OUTCOME_SLEEP = "sleep"
@@ -314,13 +306,6 @@ class Machine(MachineBase):
         #: dispatch overhead past the last horizon, held back from stats
         self._overhead_held = 0
         self._pending_dispatch = None
-        # Compiled completion fast path.  Installed only for a plain
-        # Machine (SmpMachine and subclasses keep the Python cycle); the
-        # C tick re-checks every dynamic condition -- tracing, interrupt
-        # service, cost model, wrapped scheduler -- at fire time and
-        # delegates back to the Python methods, so installation is
-        # unconditional beyond the exact-type check.
-        self._turbo = _TURBO_TICK if type(self) is Machine else None
 
         # --- interrupt state ------------------------------------------------
         self._intr_busy_until = 0
@@ -478,14 +463,9 @@ class Machine(MachineBase):
         # time_from_work(planned, capacity) inlined: planned > 0 was just
         # checked and capacity was validated at construction.
         duration = -((-planned * SECOND) // self.capacity_ips)
-        if self._turbo is not None:
-            self._burst_handle = self.engine.at(
-                self._burst_compute_start + duration, self._turbo, self,
-                priority=self.PRIORITY_COMPLETION)
-        else:
-            self._burst_handle = self.engine.at(
-                self._burst_compute_start + duration, self._on_burst_complete,
-                priority=self.PRIORITY_COMPLETION)
+        self._burst_handle = self.engine.at(
+            self._burst_compute_start + duration, self._on_burst_complete,
+            priority=self.PRIORITY_COMPLETION)
 
     def _account_burst(self, executed: int) -> None:
         """Book ``executed`` instructions of the current burst."""

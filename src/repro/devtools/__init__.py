@@ -11,9 +11,8 @@ determinism of the simulator and the SFQ / leaf-scheduler contracts:
   :class:`~repro.schedulers.base.LeafScheduler` contract.
 * :mod:`repro.devtools.schedflow` — a whole-program dataflow checker
   (``SF101``...), run as ``python -m repro.devtools.schedflow src/repro``.
-  It follows facts across functions: host taint, units, shared state,
-  worker-pool safety, and, in its SF5xx seamcheck family, drift between
-  the pure engine and the C engine ``repro/core/_sfqc.c``.
+  It follows facts across functions: host taint, units, shared state
+  and worker-pool safety.
 * :mod:`repro.devtools.schedsan` — SCHEDSAN, an opt-in runtime sanitizer
   (``REPRO_SCHEDSAN=1``) that audits every scheduler interaction a machine
   makes and reports invariant violations with the offending node path and

@@ -3,7 +3,7 @@
 Where schedlint (PR 1) checks one statement at a time, schedflow builds a
 per-function control-flow graph and a project-wide call graph over
 ``src/repro/`` and runs fixed-point dataflow passes across function
-boundaries.  Five rule families guard the properties the paper's
+boundaries.  Four rule families guard the properties the paper's
 guarantees rest on:
 
 ========  ==============================================================
@@ -24,11 +24,6 @@ SF403      fork-unsafe RNG use bypassing ``derive_seed``/``substream``
 SF404      lambda or nested function crossing a pool boundary
 SF405      event-bus subscriber mutating foreign state from emit context
 SF406      ``os.environ`` read inside a worker-pool entrypoint
-SF501      C layout enums disagree with the Python ``_cview``/``_state``
-SF502      pure-engine arena mutation with no compiled-twin counterpart
-SF503      C fast path skips an observability gate its bailout checks
-SF504      C-API refcount leak, unchecked NULL or borrowed-ref escape
-SF505      ``PyArg_Parse*``/``Py_BuildValue`` format/type mismatch
 ========  ==============================================================
 
 The SF4xx family (``repro.devtools.schedflow.parallel``) computes a

@@ -74,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for token in options.select.split(","):
             token = token.strip().upper()
             if not token:
-                continue  # `SF5,` / `SF5,,SF204`: blanks select nothing
+                continue  # `SF4,` / `SF4,,SF204`: blanks select nothing
             matched = {code for code in RULES
                        if code == token or code.startswith(token)}
             if not matched:
@@ -95,9 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         source_lines = {
             entry.path: entry.source.splitlines()
             for entry in index.entries}
-        source_lines.update(
-            (centry.path, centry.source.splitlines())
-            for centry in index.centries)
         if options.baseline:
             findings = apply_baseline(
                 findings, load_baseline(options.baseline), source_lines)

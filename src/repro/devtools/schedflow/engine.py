@@ -19,7 +19,6 @@ from repro.devtools.schedlint import (
 )
 from repro.devtools.schedflow.parallel import ParallelPass
 from repro.devtools.schedflow.project import ProjectIndex
-from repro.devtools.schedflow.seamrules import SeamPass
 from repro.devtools.schedflow.shared import SharedStatePass
 from repro.devtools.schedflow.taint import TaintPass
 from repro.devtools.schedflow.unitrules import UnitsPass
@@ -60,24 +59,9 @@ RULES: Dict[str, Tuple[str, str]] = {
               "context"),
     "SF406": ("worker-env-read",
               "os.environ/os.getenv read inside a pool entrypoint"),
-    "SF501": ("cview-layout-mismatch",
-              "C CV_*/ST_*/CH_* layout disagrees with the Python "
-              "_cview/_state/chain descriptors"),
-    "SF502": ("pure-only-mutation",
-              "arena-column mutation in a pure hot function with no "
-              "compiled-twin counterpart"),
-    "SF503": ("turbo-bailout-gap",
-              "C turbo entry skips a BUS.active/_bus.active/tracer gate "
-              "its Python bailout target checks"),
-    "SF504": ("capi-hygiene",
-              "refcount leak on an error exit, unchecked NULL, or "
-              "borrowed-ref escape into a stealing sink"),
-    "SF505": ("format-mismatch",
-              "PyArg_Parse*/Py_BuildValue format unit disagrees with "
-              "the bound C variable"),
 }
 
-_PASSES = (TaintPass, UnitsPass, SharedStatePass, ParallelPass, SeamPass)
+_PASSES = (TaintPass, UnitsPass, SharedStatePass, ParallelPass)
 
 
 def analyze_project(index: ProjectIndex,

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.devtools.schedlint import LintError, module_path_for
 from repro.devtools.schedlint import _FIXTURE_MODULE_RE  # shared directive
 from repro.devtools.schedlint.rules import _import_map, _qualified_name
 
-__all__ = ["CFileEntry", "FileEntry", "FunctionInfo", "ProjectIndex",
-           "collect_files"]
+__all__ = ["FileEntry", "FunctionInfo", "ProjectIndex", "collect_files"]
 
 
 class FileEntry:
@@ -57,22 +56,6 @@ class FileEntry:
         return False
 
 
-class CFileEntry:
-    """One C source file, carried for the SF5xx seam rules.
-
-    C files are not AST-parsed here — the seam pass runs the
-    :mod:`repro.devtools.schedflow.cext` extractor on demand — but they
-    participate in project loading and baseline fingerprinting exactly
-    like Python entries.
-    """
-
-    __slots__ = ("path", "source")
-
-    def __init__(self, path: str, source: str) -> None:
-        self.path = path
-        self.source = source
-
-
 class FunctionInfo:
     """One function or method, with enough context to analyze it."""
 
@@ -99,8 +82,7 @@ class FunctionInfo:
 
 
 def collect_files(paths: Iterable[str]) -> List[str]:
-    """Expand files and directories (recursing for ``*.py``/``*.c``),
-    sorted."""
+    """Expand files and directories (recursing for ``*.py``), sorted."""
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
@@ -110,7 +92,7 @@ def collect_files(paths: Iterable[str]) -> List[str]:
                     if d not in ("__pycache__", ".git")
                     and not d.endswith(".egg-info"))
                 for filename in sorted(filenames):
-                    if filename.endswith((".py", ".c")):
+                    if filename.endswith(".py"):
                         files.append(os.path.join(dirpath, filename))
         else:
             files.append(path)
@@ -122,8 +104,6 @@ class ProjectIndex:
 
     def __init__(self) -> None:
         self.entries: List[FileEntry] = []
-        #: C sources for the SF5xx seam rules, in load order
-        self.centries: List[CFileEntry] = []
         self.by_module: Dict[str, FileEntry] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         #: (module, bare name) -> module-level function
@@ -147,18 +127,9 @@ class ProjectIndex:
             index.add_source(source, path)
         return index
 
-    def add_source(self, source: str,
-                   path: str) -> Union[FileEntry, CFileEntry]:
+    def add_source(self, source: str, path: str) -> FileEntry:
         """Parse and index one file (honours the fixture-module
-        directive); raises :class:`LintError` on a syntax error.
-
-        ``*.c`` paths are recorded as :class:`CFileEntry` (no AST) for
-        the seam rules; everything else is parsed as Python.
-        """
-        if path.endswith(".c"):
-            centry = CFileEntry(path, source)
-            self.centries.append(centry)
-            return centry
+        directive); raises :class:`LintError` on a syntax error."""
         directive = _FIXTURE_MODULE_RE.search(source)
         if directive is not None:
             module = directive.group(1)

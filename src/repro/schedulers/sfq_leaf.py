@@ -26,9 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class SfqScheduler(LeafScheduler):
     """Start-time Fair Queuing over the threads of one class.
 
-    The per-thread queue operations route through the module-level
-    functions of :mod:`repro.core.sfq`, so the selected engine
-    (``REPRO_ENGINE``) covers leaf dispatch as well as the tree walks.
+    The per-thread queue operations go through the module-level
+    ``queue_*`` functions of :mod:`repro.core.sfq`, imported here, so the
+    benchmark's per-layer tracer can patch them in this module and count
+    ``sfq.queue_ops``.
     """
 
     algorithm = "sfq"

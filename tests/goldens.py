@@ -14,13 +14,9 @@ Four of the scenarios also pin what a :class:`~repro.trace.recorder.Recorder`
 keeps — every per-thread list plus the interrupt records — as digests in
 ``tests/fixtures/recorder/*.json``.  Three pin :func:`schedstat_lines`, a
 dump of every counter after an *untraced* run, in
-``tests/fixtures/schedstat/*.json``: with nothing on the bus the compiled
-engine's burst-completion tick engages, which no traced stream exercises.
-
-The fixtures are also the cross-engine contract: the suite runs under
-``REPRO_ENGINE=compiled`` too, so the compiled engine must reproduce
-what the pure engine recorded.  To see where one stream diverges, diff
-``stream(name)`` from two processes, one per engine.
+``tests/fixtures/schedstat/*.json``: they pin counters that no traced
+stream shows.  To see where one stream diverges from a recorded
+fixture, diff ``stream(name)`` from two checkouts.
 
 Regenerate fixtures with ``python -m tests.regen_goldens`` — but only when
 a change is *supposed* to alter scheduling behaviour; the whole point of
@@ -168,9 +164,9 @@ def build_figure8_irq(tracer: Any = None) -> Machine:
     """The paper's Figure-8 SFQ1:SFQ2:SVR4 = 2:6:1 tree with exact tags
     and Poisson interrupts.
 
-    The one scenario that runs the compiled engine, burst-completion tick
-    included, over mixed ``int``/``Fraction`` tags on a hierarchy: charges
-    that ``6`` does not divide leave SFQ-2's tags non-integral.
+    The one golden scenario with mixed ``int``/``Fraction`` tags on a
+    hierarchy: charges that ``6`` does not divide leave SFQ-2's tags
+    non-integral.
     """
     structure, sfq1, sfq2, svr4 = figure6_structure(
         sfq1_weight=2, sfq2_weight=6, svr4_weight=1)
@@ -495,8 +491,8 @@ def schedstat_lines(name: str) -> List[str]:
     """Golden scenario ``name`` run untraced, as a canonical dump of its
     engine, machine and per-thread counters.
 
-    With nothing on the bus, the compiled burst-completion tick engages;
-    a fast path that drops or double-counts anything changes a line here.
+    With nothing on the bus, the run takes the untraced paths; a fast
+    path that drops or double-counts anything changes a line here.
     """
     machine = RUNS[name]()
     engine = machine.engine

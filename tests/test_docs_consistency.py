@@ -109,3 +109,16 @@ class TestObservabilityDoc:
             assert main(match.group(1).split()) == 0
             printed = capsys.readouterr().out.splitlines()
             assert printed[:len(shown)] == shown
+
+
+class TestStaticAnalysisDoc:
+    def test_rule_tables_match_the_registries(self):
+        """The SLnnn and SFnnn table rows name exactly the registered
+        schedlint rules and the schedflow catalogue."""
+        from repro.devtools import schedflow, schedlint
+
+        text = read("docs/STATIC_ANALYSIS.md")
+        documented = set(re.findall(r"^\| (S[LF]\d{3}) \|", text, re.M))
+        registered = ({rule.code for rule in schedlint.all_rules()}
+                      | set(schedflow.RULES))
+        assert documented == registered

@@ -60,8 +60,8 @@ def test_recorder_matches_committed_fixture(name, mode):
 
 @pytest.mark.parametrize("name", goldens.SCHEDSTAT_NAMES)
 def test_schedstat_matches_committed_fixture(name):
-    """An untraced run, the regime in which the compiled tick engages,
-    leaves every engine, machine and per-thread counter as pinned."""
+    """An untraced run leaves every engine, machine and per-thread
+    counter as pinned."""
     fixture = goldens.load_schedstat_fixture(name)
     lines = goldens.schedstat_lines(name)
     assert lines == fixture["lines"]

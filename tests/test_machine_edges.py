@@ -223,7 +223,6 @@ class TestPauseEdges:
     ])
     def test_preempt_leaf_waits_out_the_pause(self, wake_ms, preempted,
                                               urgent_exit_ms):
-        # untraced, so a compiled engine takes its own wake path
         structure = SchedulingStructure()
         rt = structure.mknod("/rt", 1, scheduler=EdfScheduler())
         machine = Machine(Simulator(),
@@ -246,7 +245,6 @@ class TestPauseEdges:
         assert urgent.stats.exited_at == urgent_exit_ms * MS
 
     def test_one_event_per_interrupt(self):
-        # untraced, so a compiled engine runs its turbo tick
         structure = SchedulingStructure()
         leaf = structure.mknod("/apps", 1, scheduler=SfqScheduler())
         engine = Simulator()

@@ -62,11 +62,8 @@ class TestFixtures:
         ok = {m.group(1).upper()
               for p in OK_FIXTURES
               for m in [re.match(r"(sf\d+)_ok", p.stem)] if m}
-        # SF5xx seam rules need paired C + Python fixtures, which live
-        # in seam/ and are inventoried by tests/test_seamcheck.py.
-        expected = {code for code in RULES if not code.startswith("SF5")}
-        assert bad == expected
-        assert ok == expected
+        assert bad == set(RULES)
+        assert ok == set(RULES)
 
     @pytest.mark.parametrize("path", BAD_FIXTURES, ids=lambda p: p.stem)
     def test_bad_fixture_triggers_exactly_its_rule(self, path):
@@ -147,6 +144,34 @@ class TestCli:
         result = _run_cli("--select", "SF4",
                           str(FIXTURES / "sf204_bad_weight_store.py"))
         assert result.returncode == 0
+
+    def test_select_mixes_prefixes_and_exact_ids(self):
+        """--select SF4,SF204 runs the whole parallel-safety family plus
+        one exact rule, and nothing else (SF205 fires unselected)."""
+        paths = [str(FIXTURES / name) for name in (
+            "sf204_bad_weight_store.py", "sf205_bad_magic_literal.py",
+            "sf403_bad_global_rng.py", "sf405_bad_emit_mutation.py")]
+        everything = _run_cli(*paths)
+        assert set(re.findall(r"SF\d+", everything.stdout)) == {
+            "SF204", "SF205", "SF403", "SF405"}, everything.stdout
+        result = _run_cli("--select", "SF4,SF204", *paths)
+        assert result.returncode == 1, result.stdout + result.stderr
+        codes = set(re.findall(r"SF\d+", result.stdout))
+        assert codes == {"SF204", "SF403", "SF405"}, result.stdout
+
+    def test_select_ignores_blank_tokens(self):
+        """A trailing comma must not widen the selection to all rules."""
+        result = _run_cli("--select", "SF204,",
+                          str(FIXTURES / "sf204_bad_weight_store.py"),
+                          str(FIXTURES / "sf205_bad_magic_literal.py"))
+        assert result.returncode == 1
+        codes = set(re.findall(r"SF\d+", result.stdout))
+        assert codes == {"SF204"}, result.stdout
+
+    def test_select_of_nothing_is_usage_error(self):
+        result = _run_cli("--select", ",",
+                          str(FIXTURES / "sf204_bad_weight_store.py"))
+        assert result.returncode == 2
 
     def test_sarif_output_is_valid(self, tmp_path):
         sarif_path = tmp_path / "out.sarif"

@@ -1,5 +1,5 @@
 """Exact work counts: host-independent numbers that pin how much the
-simulator does, on both engines.
+simulator does.
 
 Wall time varies from host to host; the number of events fired, dispatches
 taken and pauses served does not.  A change that alters one of these counts
@@ -70,8 +70,8 @@ class TestScaleStorm:
 
 
 class TestEnginediffCounts:
-    """The cross-engine golden scenarios, untraced, so the compiled tick
-    runs; ``figure8`` is the golden ``figure8_irq`` run."""
+    """Three golden scenarios, untraced; ``figure8`` is the golden
+    ``figure8_irq`` run."""
 
     @pytest.mark.parametrize("scenario, horizon, counts", [
         ("figure5", 2 * SECOND, (169, 3, 150, 150, 0, 0, 22, 20)),
