@@ -8,6 +8,8 @@ changes the work per simulated second, so it must say why.
 
 import pytest
 
+import repro.core.hierarchy as hierarchy_module
+import repro.schedulers.sfq_leaf as sfq_leaf_module
 from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
 from repro.core.tags import FLOAT
@@ -22,6 +24,11 @@ from repro.units import MS, SECOND
 from tests import goldens
 
 STORM_THREADS = 20_000
+
+#: the golden scenarios counted here; ``figure8`` is ``figure8_irq``
+_BUILDS = {"figure5": goldens.build_figure5,
+           "depth8": goldens.build_depth8,
+           "figure8": goldens.build_figure8_irq}
 
 
 class TestScaleStorm:
@@ -79,10 +86,7 @@ class TestEnginediffCounts:
         ("figure8", 2 * SECOND, (329, 2, 121, 121, 206, 204, 3, 3)),
     ])
     def test_counts(self, scenario, horizon, counts):
-        build = {"figure5": goldens.build_figure5,
-                 "depth8": goldens.build_depth8,
-                 "figure8": goldens.build_figure8_irq}[scenario]
-        machine = build()
+        machine = _BUILDS[scenario]()
         machine.run_until(horizon)
         engine = machine.engine
         stats = machine.stats
@@ -91,3 +95,48 @@ class TestEnginediffCounts:
                 stats.context_switches, stats.interrupts, stats.pauses,
                 sum(s.blocks for s in per_thread),
                 sum(s.wakeups for s in per_thread)) == counts
+
+
+_WALKS = ("pick_leaf", "charge_chain", "wake_chain", "sleep_chain")
+_QUEUE_OPS = ("queue_pick", "queue_charge", "queue_set_runnable",
+              "queue_set_blocked")
+
+
+class TestHotPathCounts:
+    """Calls of the hierarchy's four walks and the SFQ leaf's four queue
+    operations, counted where their callers look them up (as the
+    benchmark's per-layer tracer does), with the chain levels they cover:
+    ``len(chain)`` per walk and ``depth - 1`` per descent."""
+
+    @pytest.mark.parametrize("scenario, horizon, walks, levels, queue_ops", [
+        ("figure5", 2 * SECOND, (0, 0, 0, 0), 0, (150, 149, 27, 22)),
+        ("depth8", 500 * MS, (341, 340, 78, 75), 6_672, (341, 340, 139, 135)),
+        ("figure8", 2 * SECOND, (121, 120, 4, 1), 246, (115, 114, 4, 0)),
+    ])
+    def test_counts(self, monkeypatch, scenario, horizon, walks, levels,
+                    queue_ops):
+        calls = dict.fromkeys(_WALKS + _QUEUE_OPS, 0)
+        covered = [0]
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                result = original(*args)
+                if name == "pick_leaf":
+                    covered[0] += result[1] - 1
+                elif name in _WALKS:
+                    covered[0] += len(args[0])
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in _WALKS:
+            counted(hierarchy_module, name)
+        for name in _QUEUE_OPS:
+            counted(sfq_leaf_module, name)
+        _BUILDS[scenario]().run_until(horizon)
+        assert tuple(calls[name] for name in _WALKS) == walks
+        assert covered[0] == levels
+        assert tuple(calls[name] for name in _QUEUE_OPS) == queue_ops
