@@ -117,8 +117,15 @@ class ProjectIndex:
 
     @classmethod
     def load(cls, paths: Iterable[str]) -> "ProjectIndex":
+        """Index every file under ``paths``; a file named twice (a tree
+        and a file inside it, say) is read once."""
         index = cls()
+        seen = set()
         for path in collect_files(paths):
+            real = os.path.realpath(path)
+            if real in seen:
+                continue
+            seen.add(real)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     source = handle.read()
@@ -129,12 +136,16 @@ class ProjectIndex:
 
     def add_source(self, source: str, path: str) -> FileEntry:
         """Parse and index one file (honours the fixture-module
-        directive); raises :class:`LintError` on a syntax error."""
+        directive); raises :class:`LintError` on a syntax error, or when
+        an indexed file already gave the same module."""
         directive = _FIXTURE_MODULE_RE.search(source)
         if directive is not None:
             module = directive.group(1)
         else:
             module = module_path_for(path)
+        if module is not None and module in self.by_module:
+            raise LintError("%s and %s both give module %s"
+                            % (self.by_module[module].path, path, module))
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:

@@ -159,6 +159,19 @@ class TestCli:
         codes = set(re.findall(r"SF\d+", result.stdout))
         assert codes == {"SF204", "SF403", "SF405"}, result.stdout
 
+    def test_module_given_by_two_files_is_usage_error(self):
+        """Two fixtures declaring one module would shadow each other."""
+        first = str(FIXTURES / "sf401_bad_worker_registry.py")
+        second = str(FIXTURES / "sf403_bad_global_rng.py")
+        result = _run_cli(first, second)
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert first in result.stderr and second in result.stderr
+
+    def test_file_given_twice_is_indexed_once(self):
+        core = SRC / "repro" / "core"
+        result = _run_cli(str(core), str(core / "sfq.py"))
+        assert result.returncode == 0, result.stdout + result.stderr
+
     def test_select_ignores_blank_tokens(self):
         """A trailing comma must not widen the selection to all rules."""
         result = _run_cli("--select", "SF204,",
