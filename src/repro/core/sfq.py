@@ -39,8 +39,8 @@ invalidates its entry, which a pick pops once it reaches the top.  A
 charge that finds the in-service entry still at the top re-keys it in
 place (one ``heapreplace``) instead of pushing a second entry; the valid
 entries and their keys are the same either way.  Mutable queue scalars
-(virtual time, max finish tag, in-service slot, runnable count) sit in
-the four-element ``_state`` list, so the cached ancestor chains and the
+(virtual time, max finish tag, runnable count) sit in
+the three-element ``_state`` list, so the cached ancestor chains and the
 descent's column view read and write them by index, without attribute
 protocol.  Queues with a single registered entity run in *solo* mode:
 ordering is trivial, so the heap stays empty and stamping skips heap
@@ -69,8 +69,7 @@ from repro.errors import SchedulingError
 # Indices into SfqQueue._state.
 _VT = 0    # virtual time v
 _MF = 1    # maximum finish tag ever assigned
-_SRV = 2   # slot currently in service, -1 when none
-_RC = 3    # count of runnable entities
+_RC = 2    # count of runnable entities
 
 # Indices into SfqQueue._cview, the columns pick_leaf reads.
 _CV_HEAP = 0
@@ -99,7 +98,7 @@ class SfqQueue:
         self._slots: Dict[int, int] = {}
         self._heap: List[Tuple[Tag, int, int, int]] = []
         zero = self.tags.zero()
-        self._state: List[Any] = [zero, zero, -1, 0]
+        self._state: List[Any] = [zero, zero, 0]
         #: the single live slot while exactly one entity is registered
         #: (solo mode: empty heap, no pushes), else -1
         self._solo = -1
@@ -157,8 +156,6 @@ class SfqQueue:
             raise SchedulingError(
                 "cannot remove runnable entity %r from SFQ queue" % (entity,))
         del self._slots[id(entity)]
-        if self._state[_SRV] == slot:
-            self._state[_SRV] = -1
         arena.release(slot)  # bumps the version: stale heap entries die
         count = len(self._slots)
         if count == 1:
@@ -241,8 +238,6 @@ class SfqQueue:
         arena.ver[slot] += 1  # lazy-remove from heap
         state = self._state
         state[_RC] -= 1
-        if state[_SRV] == slot:
-            state[_SRV] = -1
         if state[_RC] == 0:
             # Paper rule: when the server goes idle, v jumps to the maximum
             # finish tag assigned to any entity.
@@ -261,7 +256,6 @@ class SfqQueue:
         if solo >= 0:
             if not arena.run[solo]:
                 return None
-            state[_SRV] = solo
             state[_VT] = arena.start[solo]
             return arena.ent[solo]
         heap = self._heap
@@ -277,7 +271,6 @@ class SfqQueue:
             heappop(heap)
         if slot < 0:
             return None
-        state[_SRV] = slot
         # valid entries carry the entity's current start tag, and no
         # runnable start tag is below v, so v simply becomes the head's
         state[_VT] = head[0]
@@ -308,8 +301,6 @@ class SfqQueue:
         state = self._state
         if finish > state[_MF]:
             state[_MF] = finish
-        if state[_SRV] == slot:
-            state[_SRV] = -1
         if arena.run[slot]:
             # Still hungry: the next quantum is requested immediately, and
             # at this instant v equals this entity's start tag, so the new
@@ -430,8 +421,6 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
         fin_col[slot] = finish
         if finish > state[_MF]:
             state[_MF] = finish
-        if state[_SRV] == slot:
-            state[_SRV] = -1
         if run_col[slot]:
             start_col[slot] = finish
             version = ver_col[slot] + 1
@@ -494,7 +483,6 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
         if solo >= 0:
             if not run_col[solo]:
                 return None, depth
-            state[_SRV] = solo
             state[_VT] = start_col[solo]
             node = ent_col[solo]
             depth += 1
@@ -511,7 +499,6 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
             heappop(heap)
         if slot < 0:
             return None, depth
-        state[_SRV] = slot
         state[_VT] = head[0]
         node = ent_col[slot]
         depth += 1
@@ -531,8 +518,6 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
             run_col[slot] = 0
             ver_col[slot] += 1  # lazy-remove from heap
             state[_RC] -= 1
-            if state[_SRV] == slot:
-                state[_SRV] = -1
             if state[_RC] == 0:
                 if state[_MF] > state[_VT]:
                     state[_VT] = state[_MF]
