@@ -410,6 +410,11 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
     record lookups hoisted into the cached chain.  Preconditions (enforced
     by the machine and structure, not re-checked here): ``length >= 0``
     and every entity registered with a positive weight.
+
+    The three walks leave a solo queue's heap versions alone: a solo queue
+    holds no heap entries, and :meth:`SfqQueue.add` bumps the version of
+    a runnable solo slot when the queue leaves solo mode, so versions
+    still never decrease and no stale entry can validate.
     """
     for (queue, float_fast, solo, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, entity, __) in chain:
@@ -423,9 +428,9 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
             state[_MF] = finish
         if run_col[slot]:
             start_col[slot] = finish
-            version = ver_col[slot] + 1
-            ver_col[slot] = version
             if solo < 0:
+                version = ver_col[slot] + 1
+                ver_col[slot] = version
                 entry = (finish, seq_col[slot], version, slot)
                 head = heap[0]  # re-key in place, as in SfqQueue.charge
                 if head[3] == slot and head[2] == version - 1:
@@ -450,9 +455,9 @@ def wake_chain(chain: List[ChainEntry]) -> None:
             if start < state[_VT]:
                 start = state[_VT]
             start_col[slot] = start
-            version = ver_col[slot] + 1
-            ver_col[slot] = version
             if solo < 0:
+                version = ver_col[slot] + 1
+                ver_col[slot] = version
                 heappush(heap, (start, seq_col[slot], version, slot))
         if parent.runnable:
             return
@@ -512,11 +517,12 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
     first ancestor queue that still has runnable children — exactly the
     walk in :meth:`HierarchicalScheduler.sleep`.
     """
-    for (__, ___, ____, _____, state, ______, _______, run_col,
-         ver_col, ________, slot, _________, parent) in chain:
+    for (__, ___, solo, ____, state, _____, ______, run_col,
+         ver_col, _______, slot, ________, parent) in chain:
         if run_col[slot]:
             run_col[slot] = 0
-            ver_col[slot] += 1  # lazy-remove from heap
+            if solo < 0:
+                ver_col[slot] += 1  # lazy-remove from heap
             state[_RC] -= 1
             if state[_RC] == 0:
                 if state[_MF] > state[_VT]:
