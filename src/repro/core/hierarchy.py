@@ -113,7 +113,7 @@ class HierarchicalScheduler(TopScheduler):
         root = self.structure.root
         if not root.runnable:
             return None
-        leaf, depth = pick_leaf(root, LeafNode)
+        leaf, depth = pick_leaf(root)
         if leaf is None:
             raise self._descent_error(root)
         if self._bus.active:

@@ -23,7 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Node:
     """Common state for internal and leaf nodes."""
 
-    __slots__ = ("name", "weight", "parent", "node_id", "runnable", "path")
+    __slots__ = ("name", "weight", "parent", "node_id", "runnable", "path",
+                 "view")
 
     def __init__(self, name: str, weight: int,
                  parent: Optional["InternalNode"]) -> None:
@@ -46,6 +47,10 @@ class Node:
             self.path = "/" + name
         else:
             self.path = parent.path + "/" + name
+        #: the column view of this node's SFQ queue, which the per-dispatch
+        #: descent reads (:func:`repro.core.sfq.pick_leaf`); ``None`` on a
+        #: leaf, where the descent stops
+        self.view = None
 
     @property
     def is_leaf(self) -> bool:
@@ -89,6 +94,7 @@ class InternalNode(Node):
         super().__init__(name, weight, parent)
         self.children: Dict[str, Node] = {}
         self.queue = SfqQueue(tag_math)
+        self.view = self.queue._cview
 
     @property
     def is_leaf(self) -> bool:

@@ -70,15 +70,7 @@ from repro.errors import SchedulingError
 _VT = 0    # virtual time v
 _MF = 1    # maximum finish tag ever assigned
 _RC = 2    # count of runnable entities
-
-# Indices into SfqQueue._cview, the columns pick_leaf reads.
-_CV_HEAP = 0
-_CV_STATE = 1
-_CV_ENT = 2
-_CV_START = 3
-_CV_RUN = 4
-_CV_VER = 5
-_CV_SOLO = 6
+_SOLO = 3  # the solo slot (SfqQueue._solo, mirrored for pick_leaf)
 
 
 class SfqQueue:
@@ -98,7 +90,7 @@ class SfqQueue:
         self._slots: Dict[int, int] = {}
         self._heap: List[Tuple[Tag, int, int, int]] = []
         zero = self.tags.zero()
-        self._state: List[Any] = [zero, zero, 0]
+        self._state: List[Any] = [zero, zero, 0, -1]
         #: the single live slot while exactly one entity is registered
         #: (solo mode: empty heap, no pushes), else -1
         self._solo = -1
@@ -108,12 +100,12 @@ class SfqQueue:
         # level.  Exact mode and custom TagMath objects take the slow path.
         self._float_fast = (type(self.tags) is TagMath
                             and not self.tags.exact)
-        # Column view for the per-dispatch descent (pick_leaf): stable
-        # references to the heap, state vector and arena columns (none of
-        # which are ever rebound), plus the solo slot mirrored at _CV_SOLO,
-        # so the descent reads each level by index, not by attribute.
-        self._cview: List[Any] = [self._heap, self._state, arena.ent,
-                                  arena.start, arena.run, arena.ver, -1]
+        # Column view for the per-dispatch descent (pick_leaf), unpacked
+        # once per level: stable references to the heap, state vector and
+        # arena columns, none of which are ever rebound (the solo slot
+        # changes, so the descent reads it from the state vector).
+        self._cview: Tuple[Any, ...] = (self._heap, self._state, arena.ent,
+                                        arena.start, arena.run, arena.ver)
 
     # --- membership ---------------------------------------------------
 
@@ -135,13 +127,13 @@ class SfqQueue:
         count = len(slots)
         if count == 1:
             self._solo = slot
-            self._cview[_CV_SOLO] = slot
+            self._state[_SOLO] = slot
         elif count == 2:
             # Leaving solo mode: restore the invariant that every runnable
             # entity has a valid heap entry.
             solo = self._solo
             self._solo = -1
-            self._cview[_CV_SOLO] = -1
+            self._state[_SOLO] = -1
             if arena.run[solo]:
                 version = arena.ver[solo] + 1
                 arena.ver[solo] = version
@@ -164,11 +156,11 @@ class SfqQueue:
             remaining = next(iter(self._slots.values()))
             del self._heap[:]
             self._solo = remaining
-            self._cview[_CV_SOLO] = remaining
+            self._state[_SOLO] = remaining
         elif count == 0:
             del self._heap[:]
             self._solo = -1
-            self._cview[_CV_SOLO] = -1
+            self._state[_SOLO] = -1
 
     def __contains__(self, entity: Any) -> bool:
         return id(entity) in self._slots
@@ -464,7 +456,7 @@ def wake_chain(chain: List[ChainEntry]) -> None:
         parent.runnable = True
 
 
-def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
+def pick_leaf(root: Any) -> Tuple[Optional[Any], int]:
     """Descend from ``root``, picking the min-start child at every level.
 
     Inlines :meth:`SfqQueue.pick` per level (the per-dispatch descent is
@@ -473,39 +465,32 @@ def pick_leaf(root: Any, leaf_type: type) -> Tuple[Optional[Any], int]:
     returns ``(None, depth)`` and the caller re-walks with the method API
     to raise its usual diagnostic (pick is peek-like, so the partial
     descent's virtual-time updates match what the re-walk recomputes).
-    ``leaf_type`` is passed in (the node classes live downstream of this
-    module); nodes are exactly ``InternalNode`` or ``leaf_type``.
+    Each internal node carries its queue's column view as ``node.view``;
+    a leaf's view is ``None``, which ends the descent.
     """
     node = root
     depth = 1
-    while type(node) is not leaf_type:
-        cview = node.queue._cview
-        state = cview[_CV_STATE]
-        start_col = cview[_CV_START]
-        run_col = cview[_CV_RUN]
-        ent_col = cview[_CV_ENT]
-        solo = cview[_CV_SOLO]
-        if solo >= 0:
-            if not run_col[solo]:
+    view = root.view
+    while view is not None:
+        heap, state, ent_col, start_col, run_col, ver_col = view
+        slot = state[_SOLO]
+        if slot >= 0:
+            if not run_col[slot]:
                 return None, depth
-            state[_VT] = start_col[solo]
-            node = ent_col[solo]
-            depth += 1
-            continue
-        heap = cview[_CV_HEAP]
-        ver_col = cview[_CV_VER]
-        slot = -1
-        while heap:
-            head = heap[0]
-            candidate = head[3]
-            if run_col[candidate] and head[2] == ver_col[candidate]:
-                slot = candidate
-                break
-            heappop(heap)
-        if slot < 0:
-            return None, depth
-        state[_VT] = head[0]
+            state[_VT] = start_col[slot]
+        else:
+            while heap:
+                head = heap[0]
+                slot = head[3]
+                if run_col[slot] and head[2] == ver_col[slot]:
+                    break
+                heappop(heap)
+            else:
+                return None, depth
+            # valid entries carry the current start tag (see pick)
+            state[_VT] = head[0]
         node = ent_col[slot]
+        view = node.view
         depth += 1
     return node, depth
 
