@@ -14,7 +14,7 @@ paper describes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.node import InternalNode, LeafNode, Node, require_leaf
 # The hot walks are called through these module-level names, where the
@@ -71,12 +71,6 @@ class HierarchicalScheduler(TopScheduler):
         self._decision_depth = 1
         #: clock callable; the machine installs its engine's clock here
         self.clock: Callable[[], int] = lambda: 0
-        # Per-leaf charge chains (see repro.core.sfq.build_ancestor_chain),
-        # keyed by leaf id.  The tree shape only changes through
-        # mknod/rmnod, which bump structure.tree_version; charge() rebuilds
-        # lazily when the versions diverge.
-        self._charge_chains: Dict[int, list] = {}
-        self._charge_chains_version = structure.tree_version
 
     # --- TopScheduler protocol --------------------------------------------
 
@@ -99,15 +93,38 @@ class HierarchicalScheduler(TopScheduler):
         self._sleep_if_idle(leaf)
         leaf.detach_thread(thread)
 
+    # thread_runnable, thread_blocked and charge run once or more per
+    # dispatch, so each does the untraced work of setrun, sleep and
+    # _chain_for itself, with the chain read off the leaf.
+
     def thread_runnable(self, thread: "SimThread", now: int) -> None:
-        leaf = require_leaf(thread.leaf)
+        leaf = thread.leaf
+        if type(leaf) is not LeafNode:  # unusual: subclass or detached thread
+            leaf = require_leaf(leaf)
         leaf.scheduler.on_runnable(thread, now)
-        self.setrun(leaf)
+        if leaf.runnable:
+            return
+        if self._bus.active:
+            self.setrun(leaf)
+            return
+        leaf.runnable = True
+        chain = leaf.chain
+        if chain is None:
+            chain = self._chain_for(leaf)
+        wake_chain(chain)
 
     def thread_blocked(self, thread: "SimThread", now: int) -> None:
-        leaf = require_leaf(thread.leaf)
-        leaf.scheduler.on_block(thread, now)
-        self._sleep_if_idle(leaf)
+        leaf = thread.leaf
+        if type(leaf) is not LeafNode:
+            leaf = require_leaf(leaf)
+        scheduler = leaf.scheduler
+        scheduler.on_block(thread, now)
+        if leaf.runnable and not scheduler.has_runnable():
+            leaf.runnable = False
+            chain = leaf.chain
+            if chain is None:
+                chain = self._chain_for(leaf)
+            sleep_chain(chain)
 
     def pick_next(self, now: int) -> Optional["SimThread"]:
         root = self.structure.root
@@ -148,9 +165,13 @@ class HierarchicalScheduler(TopScheduler):
             % (node.path,))
 
     def charge(self, thread: "SimThread", work: int, now: int) -> None:
-        leaf = require_leaf(thread.leaf)
+        leaf = thread.leaf
+        if type(leaf) is not LeafNode:
+            leaf = require_leaf(leaf)
         leaf.scheduler.charge(thread, work, now)
-        chain = self._chain_for(leaf)
+        chain = leaf.chain
+        if chain is None:
+            chain = self._chain_for(leaf)
         charge_chain(chain, work)
         if self._bus.active:
             for entry in chain:
@@ -164,14 +185,15 @@ class HierarchicalScheduler(TopScheduler):
                                float(entry[_CH_STATE][_VT]))
 
     def _chain_for(self, leaf: LeafNode) -> list:
-        """The cached ancestor chain of ``leaf``, rebuilt on tree changes."""
-        if self._charge_chains_version != self.structure.tree_version:
-            self._charge_chains.clear()
-            self._charge_chains_version = self.structure.tree_version
-        chain = self._charge_chains.get(id(leaf))
+        """The ancestor chain cached on ``leaf``, built on first use.
+
+        The structure's ``mknod`` and ``rmnod`` drop every cached chain,
+        because a chain bakes in the tree's shape.
+        """
+        chain = leaf.chain
         if chain is None:
-            chain = build_ancestor_chain(leaf)
-            self._charge_chains[id(leaf)] = chain
+            chain = leaf.chain = build_ancestor_chain(leaf)
+            self.structure.chained_leaves.append(leaf)
         return chain
 
     def quantum_for(self, thread: "SimThread") -> Optional[int]:

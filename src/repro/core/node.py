@@ -129,12 +129,16 @@ class InternalNode(Node):
 class LeafNode(Node):
     """A leaf node: owns a leaf scheduler and its threads."""
 
-    __slots__ = ("scheduler", "threads")
+    __slots__ = ("scheduler", "threads", "chain")
 
     def __init__(self, name: str, weight: int, parent: Optional["InternalNode"],
                  scheduler: "LeafScheduler") -> None:
         super().__init__(name, weight, parent)
         self.scheduler = scheduler
+        #: the cached ancestor chain of this leaf
+        #: (:func:`repro.core.sfq.build_ancestor_chain`), or ``None``
+        #: until the hierarchy next needs it
+        self.chain: Optional[list] = None
         #: attached threads, as an ordered set: iteration follows attach
         #: order, never object addresses (float sums over it must repeat)
         self.threads: Dict["SimThread", None] = {}

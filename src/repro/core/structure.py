@@ -20,7 +20,7 @@ described in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.core.node import InternalNode, LeafNode, Node, require_leaf
 from repro.core.tags import TagMath
@@ -49,9 +49,9 @@ class SchedulingStructure:
         self.root = InternalNode("", weight=1, parent=None, tag_math=tag_math)
         self._nodes: Dict[int, Node] = {}
         self._next_id = 0
-        #: bumped by every mknod/rmnod; lets the hierarchy invalidate any
-        #: caches derived from the tree shape (e.g. ancestor charge chains)
-        self.tree_version = 0
+        #: the leaves that hold a cached ancestor chain (the hierarchy
+        #: appends each leaf whose chain it builds); see _drop_chains
+        self.chained_leaves: List[LeafNode] = []
         self._register(self.root)
         #: back-reference set by HierarchicalScheduler; used by thread moves
         #: and to install the run's bus on leaves made later
@@ -63,8 +63,15 @@ class SchedulingStructure:
         node.node_id = self._next_id
         self._next_id += 1
         self._nodes[node.node_id] = node
-        self.tree_version += 1
+        self._drop_chains()
         return node
+
+    def _drop_chains(self) -> None:
+        """Forget every cached ancestor chain; ``mknod`` and ``rmnod`` call
+        this, because a chain bakes in the tree's shape."""
+        for leaf in self.chained_leaves:
+            leaf.chain = None
+        del self.chained_leaves[:]
 
     # --- hsfq_mknod --------------------------------------------------------
 
@@ -155,7 +162,7 @@ class SchedulingStructure:
         assert node.parent is not None
         node.parent.remove_child(node)
         del self._nodes[node.node_id]
-        self.tree_version += 1
+        self._drop_chains()
 
     # --- hsfq_move ----------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """The hierarchy's cached ancestor chains: invalidation and equivalence.
 
 The hierarchy picks, charges, wakes and sleeps through per-leaf cached
-ancestor chains (``repro.core.sfq``), invalidated by
-``structure.tree_version`` whenever ``mknod``/``rmnod`` reshape the tree.
-Three guarantees are pinned here:
+ancestor chains (``repro.core.sfq``), held on each leaf and dropped by
+``mknod``/``rmnod`` whenever they reshape the tree.  Three guarantees are
+pinned here:
 
 1. the chain path is behaviourally identical to a per-level walk over the
    :class:`~repro.core.sfq.SfqQueue` methods (:class:`ReferenceWalk`),
@@ -33,6 +33,17 @@ def make_thread(name="t", weight=1):
 class ReferenceWalk(HierarchicalScheduler):
     """hsfq_schedule/update/setrun/sleep as per-level SfqQueue method
     calls, emitting each level's events as it goes; no chains."""
+
+    def thread_runnable(self, thread, now):
+        leaf = require_leaf(thread.leaf)
+        leaf.scheduler.on_runnable(thread, now)
+        self.setrun(leaf)
+
+    def thread_blocked(self, thread, now):
+        leaf = require_leaf(thread.leaf)
+        leaf.scheduler.on_block(thread, now)
+        if leaf.runnable and not leaf.scheduler.has_runnable():
+            self.sleep(leaf)
 
     def pick_next(self, now):
         node = self.structure.root
@@ -218,30 +229,36 @@ def test_traced_setrun_reports_the_levels_it_stamped():
     assert structure.root.runnable
 
 
-def test_tree_version_bumps_on_mknod_and_rmnod():
-    structure = SchedulingStructure()
-    version = structure.tree_version
-    structure.mknod("/x", 1)
-    assert structure.tree_version > version
-    version = structure.tree_version
-    leaf = structure.mknod("/x/leaf", 1, scheduler=SfqScheduler())
-    assert structure.tree_version > version
-    version = structure.tree_version
-    structure.rmnod(leaf)
-    assert structure.tree_version > version
+def test_mknod_and_rmnod_drop_cached_chains():
+    driver = Driver()
+    driver.spawn("a", driver.leaf1)
+    driver.spawn("b", driver.leaf2)
+    driver.serve(10)
+    assert driver.leaf1.chain is not None
+    assert driver.leaf2.chain is not None
+    leaf = driver.structure.mknod("/classA/leaf3", 1,
+                                  scheduler=SfqScheduler())
+    assert driver.leaf1.chain is None and driver.leaf2.chain is None
+    assert driver.structure.chained_leaves == []
+    driver.serve(10)
+    assert driver.leaf1.chain is not None or driver.leaf2.chain is not None
+    driver.structure.rmnod(leaf)
+    assert driver.leaf1.chain is None and driver.leaf2.chain is None
 
 
 def test_chains_rebuilt_after_mknod():
     driver = Driver()
     driver.spawn("a", driver.leaf1)
     driver.serve(10)
-    cached = driver.scheduler._charge_chains
-    assert cached, "serving should have populated the chain cache"
+    stale = driver.leaf1.chain
+    assert stale is not None, "serving should have cached leaf1's chain"
     driver.structure.mknod("/classB", 1)
-    # Next scheduling op must notice the version bump and drop stale chains.
+    assert driver.leaf1.chain is None, "mknod must drop stale chains"
+    # The next scheduling op rebuilds the chain against the new shape.
     driver.serve(10)
-    assert driver.scheduler._charge_chains_version == \
-        driver.structure.tree_version
+    assert driver.leaf1.chain is not None
+    assert driver.leaf1.chain is not stale
+    assert driver.structure.chained_leaves == [driver.leaf1]
 
 
 def test_removed_leaf_chain_not_reused():
