@@ -339,13 +339,9 @@ class SfqQueue:
 # chain walks below.
 
 queue_pick = SfqQueue.pick
+queue_charge = SfqQueue.charge  # called without a weight: read live
 queue_set_runnable = SfqQueue.set_runnable
 queue_set_blocked = SfqQueue.set_blocked
-
-
-def queue_charge(queue: SfqQueue, entity: Any, length: int) -> None:
-    """``queue.charge(entity, length)`` with the weight read live."""
-    SfqQueue.charge(queue, entity, length)
 
 
 #: one ancestor level of a cached chain (see :func:`build_ancestor_chain`)
