@@ -169,6 +169,16 @@ class MachineBase:
         now = self.engine.now
         for __ in range(_MAX_SEGMENT_PULLS):
             segment = thread.workload.next_segment(now, thread)
+            # the two common segments by exact type first; subclasses
+            # fall through to the isinstance chain
+            kind = type(segment)
+            if kind is Compute:
+                thread.remaining_work = segment.work
+                return _OUTCOME_RUN, None
+            if kind is SleepFor:
+                if segment.duration == 0:
+                    continue
+                return _OUTCOME_SLEEP, now + segment.duration
             if segment is None or isinstance(segment, Exit):
                 return _OUTCOME_EXIT, None
             if isinstance(segment, Compute):
@@ -381,9 +391,13 @@ class Machine(MachineBase):
             self._bus.emit(obs.RUNNABLE_SHAPE, now, thread.tid,
                            _leaf_path(thread))
         self.scheduler.thread_runnable(thread, now)
-        if (self.current is not None
-                and now > self._paused_until
-                and self.scheduler.should_preempt(self.current, thread, now)):
+        current = self.current
+        if current is not None:
+            # the CPU stays busy unless the newcomer preempts
+            if (now <= self._paused_until
+                    or not self.scheduler.should_preempt(current, thread,
+                                                         now)):
+                return
             self._preempt_current()
         self._maybe_dispatch()
 
