@@ -39,13 +39,16 @@ invalidates its entry, which a pick pops once it reaches the top.  A
 charge that finds the in-service entry still at the top re-keys it in
 place (one ``heapreplace``) instead of pushing a second entry; the valid
 entries and their keys are the same either way.  Mutable queue scalars
-(virtual time, max finish tag, runnable count) sit in
-the three-element ``_state`` list, so the cached ancestor chains and the
-descent's column view read and write them by index, without attribute
-protocol.  Queues with a single registered entity run in *solo* mode:
-ordering is trivial, so the heap stays empty and stamping skips heap
-pushes entirely — observable behaviour (picks, tags, virtual time) is
-identical, which the golden-trace suite pins.
+(virtual time, max finish tag, runnable count and the solo slot) sit in
+the four-element ``_state`` list, so the cached ancestor chains and the
+descent read and write them by index, without attribute protocol.  The
+descent reaches each level through its node's ``view``: the queue's heap,
+state vector and arena columns in one tuple, unpacked once per level.
+Queues with a single registered entity run in *solo* mode: ordering is
+trivial, so the heap stays empty, stamping skips heap pushes entirely and
+the chain walks leave the slot's heap version alone — observable
+behaviour (picks, tags, virtual time) is identical, which the
+golden-trace suite pins.
 
 Module-level hot functions
 --------------------------
@@ -325,8 +328,8 @@ class SfqQueue:
         """The live arena slot of ``entity`` (chain-cache support).
 
         The slot stays valid until the entity is removed from this queue;
-        callers caching it must invalidate on removal (the hierarchy keys
-        its caches to the structure's ``tree_version``).
+        callers caching it must invalidate on removal (``mknod`` and
+        ``rmnod`` drop the hierarchy's cached chains).
         """
         return self._slot_of(entity)
 
@@ -371,9 +374,9 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
     columns, the child's slot — so the per-level work is pure list
     indexing.  The chain mirrors the leaf-to-root walks the hierarchy
     performs on charge and eligibility changes, and stays valid until the
-    tree shape changes (mknod/rmnod — the hierarchy keys its cache to
-    ``tree_version``; solo membership also only changes with the shape, so
-    baking it here is safe).
+    tree shape changes (``mknod`` and ``rmnod`` drop every cached chain;
+    solo membership also only changes with the shape, so baking it here
+    is safe).
     """
     chain: List[ChainEntry] = []
     node = leaf
