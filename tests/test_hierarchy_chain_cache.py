@@ -42,8 +42,7 @@ class ReferenceWalk(HierarchicalScheduler):
     def thread_blocked(self, thread, now):
         leaf = require_leaf(thread.leaf)
         leaf.scheduler.on_block(thread, now)
-        if leaf.runnable and not leaf.scheduler.has_runnable():
-            self.sleep(leaf)
+        self._sleep_if_idle(leaf)
 
     def pick_next(self, now):
         node = self.structure.root
