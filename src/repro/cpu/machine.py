@@ -169,18 +169,7 @@ class MachineBase:
         now = self.engine.now
         for __ in range(_MAX_SEGMENT_PULLS):
             segment = thread.workload.next_segment(now, thread)
-            # the two common segments by exact type first; subclasses
-            # fall through to the isinstance chain
-            kind = type(segment)
-            if kind is Compute:
-                thread.remaining_work = segment.work
-                return _OUTCOME_RUN, None
-            if kind is SleepFor:
-                if segment.duration == 0:
-                    continue
-                return _OUTCOME_SLEEP, now + segment.duration
-            if segment is None or isinstance(segment, Exit):
-                return _OUTCOME_EXIT, None
+            # the two common segments first
             if isinstance(segment, Compute):
                 thread.remaining_work = segment.work
                 return _OUTCOME_RUN, None
@@ -188,6 +177,8 @@ class MachineBase:
                 if segment.duration == 0:
                     continue
                 return _OUTCOME_SLEEP, now + segment.duration
+            if segment is None or isinstance(segment, Exit):
+                return _OUTCOME_EXIT, None
             if isinstance(segment, SleepUntil):
                 if segment.wakeup <= now:
                     continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.sfq import (
-    _RC,
     SfqQueue,
     queue_charge,
     queue_pick,
@@ -61,7 +60,7 @@ class SfqScheduler(LeafScheduler):
         queue_charge(self.queue, thread, work)
 
     def has_runnable(self) -> bool:
-        return self.queue._state[_RC] > 0
+        return self.queue.has_runnable()
 
     def quantum_for(self, thread: "SimThread") -> Optional[int]:
         return self._quantum
