@@ -6,8 +6,9 @@ ancestor chains (``repro.core.sfq``), held on each leaf and dropped by
 pinned here:
 
 1. the chain path is behaviourally identical to a per-level walk over the
-   :class:`~repro.core.sfq.SfqQueue` methods (:class:`ReferenceWalk`),
-   traced or not, including the events it emits;
+   :class:`~repro.core.sfq.SfqQueue` methods
+   (:class:`tests.reference_walk.ReferenceWalk`), traced or not, including
+   the events it emits;
 2. a traced wake reports exactly the levels it stamped;
 3. tree mutations mid-run (grow a subtree, remove a leaf, move threads)
    never leave a stale chain behind.
@@ -16,95 +17,19 @@ pinned here:
 import pytest
 
 from repro.core.hierarchy import HierarchicalScheduler
-from repro.core.node import InternalNode, require_leaf
 from repro.core.structure import SchedulingStructure
-from repro.errors import SchedulingError, StructureError
+from repro.errors import StructureError
 from repro.obs import events as obs
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.threads.segments import SegmentListWorkload
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 
+from tests.reference_walk import ReferenceWalk
+
 
 def make_thread(name="t", weight=1):
     return SimThread(name, SegmentListWorkload([]), weight=weight)
-
-
-class ReferenceWalk(HierarchicalScheduler):
-    """hsfq_schedule/update/setrun/sleep as per-level SfqQueue method
-    calls, emitting each level's events as it goes; no chains."""
-
-    def thread_runnable(self, thread, now):
-        leaf = require_leaf(thread.leaf)
-        leaf.scheduler.on_runnable(thread, now)
-        self.setrun(leaf)
-
-    def thread_blocked(self, thread, now):
-        leaf = require_leaf(thread.leaf)
-        leaf.scheduler.on_block(thread, now)
-        self._sleep_if_idle(leaf)
-
-    def pick_next(self, now):
-        node = self.structure.root
-        if not node.runnable:
-            return None
-        depth = 1
-        while isinstance(node, InternalNode):
-            child = node.queue.pick()
-            if child is None:
-                raise SchedulingError("%r has no runnable child" % node.path)
-            if obs.BUS.active:
-                obs.BUS.emit(obs.VTIME_ADVANCE_SHAPE, now, node.path,
-                             float(node.queue.virtual_time))
-            node = child
-            depth += 1
-        self._decision_depth = depth
-        return require_leaf(node).scheduler.pick_next(now)
-
-    def charge(self, thread, work, now):
-        leaf = require_leaf(thread.leaf)
-        leaf.scheduler.charge(thread, work, now)
-        node = leaf
-        while node.parent is not None:
-            queue = node.parent.queue
-            queue.charge(node, work)
-            if obs.BUS.active:
-                obs.BUS.emit(obs.TAG_UPDATE_SHAPE, now, node.path,
-                             float(queue.start_tag(node)),
-                             float(queue.finish_tag(node)), work)
-                obs.BUS.emit(obs.VTIME_ADVANCE_SHAPE, now, node.parent.path,
-                             float(queue.virtual_time))
-            node = node.parent
-
-    def setrun(self, leaf):
-        if leaf.runnable:
-            return
-        leaf.runnable = True
-        node = leaf
-        while node.parent is not None:
-            parent = node.parent
-            parent.queue.set_runnable(node)
-            if obs.BUS.active:
-                obs.BUS.emit(obs.TAG_UPDATE_SHAPE, self.clock(), node.path,
-                             float(parent.queue.start_tag(node)),
-                             float(parent.queue.finish_tag(node)), 0)
-            if parent.runnable:
-                return
-            parent.runnable = True
-            node = parent
-
-    def sleep(self, leaf):
-        if not leaf.runnable:
-            return
-        leaf.runnable = False
-        node = leaf
-        while node.parent is not None:
-            parent = node.parent
-            parent.queue.set_blocked(node)
-            if parent.queue.has_runnable():
-                return
-            parent.runnable = False
-            node = parent
 
 
 class Driver:

@@ -105,18 +105,21 @@ _QUEUE_OPS = ("queue_pick", "queue_charge", "queue_set_runnable",
 class TestHotPathCounts:
     """Calls of the hierarchy's four walks and the SFQ leaf's four queue
     operations, counted where their callers look them up (as the
-    benchmark's per-layer tracer does), with the chain levels they cover:
-    ``len(chain)`` per walk and ``depth - 1`` per descent."""
+    benchmark's per-layer tracer does), with the levels they cover:
+    ``depth - 1`` per descent, and ``len(chain)`` per chain walk."""
 
-    @pytest.mark.parametrize("scenario, horizon, walks, levels, queue_ops", [
-        ("figure5", 2 * SECOND, (0, 0, 0, 0), 0, (150, 149, 27, 22)),
-        ("depth8", 500 * MS, (341, 340, 78, 75), 6_672, (341, 340, 139, 135)),
-        ("figure8", 2 * SECOND, (121, 120, 4, 1), 246, (115, 114, 4, 0)),
-    ])
-    def test_counts(self, monkeypatch, scenario, horizon, walks, levels,
-                    queue_ops):
+    @pytest.mark.parametrize(
+        "scenario, horizon, walks, descent_levels, walk_levels, queue_ops", [
+            ("figure5", 2 * SECOND, (0, 0, 0, 0), 0, 0, (150, 149, 27, 22)),
+            ("depth8", 500 * MS, (341, 340, 78, 75), 2_728, 3_944,
+             (341, 340, 139, 135)),
+            ("figure8", 2 * SECOND, (121, 120, 4, 1), 121, 125,
+             (115, 114, 4, 0)),
+        ])
+    def test_counts(self, monkeypatch, scenario, horizon, walks,
+                    descent_levels, walk_levels, queue_ops):
         calls = dict.fromkeys(_WALKS + _QUEUE_OPS, 0)
-        covered = [0]
+        covered = {"descent": 0, "walks": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -125,9 +128,9 @@ class TestHotPathCounts:
                 calls[name] += 1
                 result = original(*args)
                 if name == "pick_leaf":
-                    covered[0] += result[1] - 1
+                    covered["descent"] += result[1] - 1
                 elif name in _WALKS:
-                    covered[0] += len(args[0])
+                    covered["walks"] += len(args[0])
                 return result
 
             monkeypatch.setattr(module, name, wrapper)
@@ -138,5 +141,5 @@ class TestHotPathCounts:
             counted(sfq_leaf_module, name)
         _BUILDS[scenario]().run_until(horizon)
         assert tuple(calls[name] for name in _WALKS) == walks
-        assert covered[0] == levels
+        assert covered == {"descent": descent_levels, "walks": walk_levels}
         assert tuple(calls[name] for name in _QUEUE_OPS) == queue_ops
