@@ -29,6 +29,7 @@ from repro.core.sfq import (
     _VT,
     build_ancestor_chain,
     charge_chain,
+    expand_chain,
     pick_leaf,
     sleep_chain,
     wake_chain,
@@ -135,7 +136,7 @@ class HierarchicalScheduler(TopScheduler):
             raise self._descent_error(root)
         if self._bus.active:
             # the virtual time the descent just set at each level, root first
-            for entry in reversed(self._chain_for(leaf)):
+            for entry in reversed(expand_chain(self._chain_for(leaf))):
                 self._bus.emit(obs.VTIME_ADVANCE_SHAPE, now,
                                entry[_CH_PARENT].path,
                                float(entry[_CH_STATE][_VT]))
@@ -174,7 +175,7 @@ class HierarchicalScheduler(TopScheduler):
             chain = self._chain_for(leaf)
         charge_chain(chain, work)
         if self._bus.active:
-            for entry in chain:
+            for entry in expand_chain(chain):
                 slot = entry[_CH_SLOT]
                 self._bus.emit(obs.TAG_UPDATE_SHAPE, now,
                                entry[_CH_ENTITY].path,
@@ -229,14 +230,16 @@ class HierarchicalScheduler(TopScheduler):
             return
         # wake_chain stamps every level up to and including the first
         # ancestor that is already runnable: count them before it runs
+        levels = expand_chain(chain)
         walked = 0
-        for entry in chain:
+        for entry in levels:
             walked += 1
             if entry[_CH_PARENT].runnable:
                 break
         wake_chain(chain)
+        expand_chain(chain)  # settle the stamps the wake deferred
         now = self.clock()
-        for entry in chain[:walked]:
+        for entry in levels[:walked]:
             slot = entry[_CH_SLOT]
             self._bus.emit(obs.TAG_UPDATE_SHAPE, now, entry[_CH_ENTITY].path,
                            float(entry[_CH_START][slot]),

@@ -70,11 +70,15 @@ class Node:
     def set_weight(self, weight: int) -> None:
         """Change this node's share of its parent's bandwidth.
 
-        Takes effect at the next tag stamping (see DESIGN.md §5).
+        Takes effect at the next tag stamping (see DESIGN.md §5).  A
+        folded run holding this node's level settles first, so the charges
+        it deferred replay at the weight they were made at.
         """
         if type(weight) is not int or weight <= 0:
             raise StructureError(
                 "node weight must be a positive int, got %r" % (weight,))
+        if self.parent is not None:
+            self.parent.queue.settle()
         self.weight = weight
 
     def __repr__(self) -> str:

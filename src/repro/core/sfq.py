@@ -45,10 +45,40 @@ descent read and write them by index, without attribute protocol.  The
 descent reaches each level through its node's ``view``: the queue's heap,
 state vector and arena columns in one tuple, unpacked once per level.
 Queues with a single registered entity run in *solo* mode: ordering is
-trivial, so the heap stays empty, stamping skips heap pushes entirely and
-the chain walks leave the slot's heap version alone — observable
-behaviour (picks, tags, virtual time) is identical, which the
-golden-trace suite pins.
+trivial, so the heap stays empty and stamping skips heap pushes entirely
+— observable behaviour (picks, tags, virtual time) is identical, which
+the golden-trace suite pins.
+
+Folded runs of solo queues
+--------------------------
+A solo queue orders nothing, since ordering needs a sibling, so its tags
+decide nothing while it stays solo.  Each maximal run of solo ancestor
+queues (Figure 7(b)'s pass-through nodes) is one :class:`SoloRun`, found
+lazily when a chain first needs it and shared by every leaf below it.  A
+cached chain holds the whole run as one entry, and the descent jumps from
+the run's top to the node below its bottom.  A charge, pick, wake or sleep
+that reaches the run appends one op to the run's pending log instead of
+writing the run's tags; eligibility (the ``run`` flags, the runnable
+counts and ``node.runnable``) stays eager, level by level.
+:meth:`SoloRun.settle` replays the log level by level, in order, exactly as
+:func:`charge_chain`, :func:`pick_leaf`, :func:`wake_chain` and
+:func:`sleep_chain` would have applied it: float mode evaluates
+``start + length / weight`` one charge at a time, inlined as the walks do,
+and exact mode goes through :meth:`TagMath.advance`, so every tag is
+bit-identical to the eager walk.  A log replays itself when it reaches
+:data:`_LOG_LIMIT` ops, so memory stays flat.
+
+The rule: **every reader of a run's tags settles it first.**  The readers
+are :meth:`SfqQueue.add` and :meth:`SfqQueue.remove` (a shape change, after
+which the structure unfolds every run), ``Node.set_weight`` (a replay
+must use the weight in force at each charge), the traced walks of the
+hierarchy (:func:`expand_chain`), SCHEDSAN's audits, and the queue's own
+:attr:`~SfqQueue.virtual_time`, :meth:`~SfqQueue.start_tag`,
+:meth:`~SfqQueue.finish_tag`, :meth:`~SfqQueue.pick`,
+:meth:`~SfqQueue.charge`, :meth:`~SfqQueue.set_runnable` and
+:meth:`~SfqQueue.set_blocked` (so ``admin(INFO)``, schedstat and the
+descent's error re-walk read settled values).  Code that reads the
+``arena`` columns of a queue directly calls :meth:`SfqQueue.settle` first.
 
 Module-level hot functions
 --------------------------
@@ -74,6 +104,16 @@ _VT = 0    # virtual time v
 _MF = 1    # maximum finish tag ever assigned
 _RC = 2    # count of runnable entities
 _SOLO = 3  # the solo slot (SfqQueue._solo, mirrored for pick_leaf)
+_FOLD = 4  # the SoloRun this queue is folded into, else None
+
+#: pending ops a folded run holds before it replays them (memory stays flat)
+_LOG_LIMIT = 64
+
+# The ops of a SoloRun's log: a charge is its length (an int >= 0); a wake
+# that reaches levels 0..k of the run (bottom first) is _WAKE - k.
+_PICK = -1
+_SLEEP = -2
+_WAKE = -3
 
 
 class SfqQueue:
@@ -93,7 +133,7 @@ class SfqQueue:
         self._slots: Dict[int, int] = {}
         self._heap: List[Tuple[Tag, int, int, int]] = []
         zero = self.tags.zero()
-        self._state: List[Any] = [zero, zero, 0, -1]
+        self._state: List[Any] = [zero, zero, 0, -1, None]
         #: the single live slot while exactly one entity is registered
         #: (solo mode: empty heap, no pushes), else -1
         self._solo = -1
@@ -123,6 +163,8 @@ class SfqQueue:
         slots = self._slots
         if key in slots:
             raise SchedulingError("entity %r already in SFQ queue" % (entity,))
+        if self._state[_FOLD] is not None:
+            self._state[_FOLD].settle()
         arena = self.arena
         slot = arena.alloc(entity, self.tags.zero(), self._arrivals)
         self._arrivals += 1
@@ -146,6 +188,8 @@ class SfqQueue:
     def remove(self, entity: Any) -> None:
         """Deregister ``entity``; it must not be runnable."""
         slot = self._slot_of(entity)
+        if self._state[_FOLD] is not None:
+            self._state[_FOLD].settle()
         arena = self.arena
         if arena.run[slot]:
             raise SchedulingError(
@@ -173,30 +217,45 @@ class SfqQueue:
 
     # --- introspection --------------------------------------------------
 
+    def settle(self) -> None:
+        """Replay the pending log of the folded run holding this queue, if
+        any, so its tags in the ``arena`` columns and ``v`` are current."""
+        fold = self._state[_FOLD]
+        if fold is not None:
+            fold.settle()
+
     @property
     def virtual_time(self) -> Tag:
         """Current virtual time ``v`` of this queue."""
+        self.settle()
         return self._state[_VT]
 
     @property
     def runnable_count(self) -> int:
         """Number of entities currently eligible for service."""
+        self.settle()
         return self._state[_RC]
 
     def has_runnable(self) -> bool:
         """True when at least one entity is eligible for service."""
-        return self._state[_RC] > 0
+        state = self._state
+        if state[_FOLD] is not None:
+            state[_FOLD].settle()
+        return state[_RC] > 0
 
     def start_tag(self, entity: Any) -> Tag:
         """Current start tag of ``entity`` (for tests and tracing)."""
+        self.settle()
         return self.arena.start[self._slot_of(entity)]
 
     def finish_tag(self, entity: Any) -> Tag:
         """Current finish tag of ``entity`` (for tests and tracing)."""
+        self.settle()
         return self.arena.fin[self._slot_of(entity)]
 
     def is_runnable(self, entity: Any) -> bool:
         """True if ``entity`` is currently marked runnable in this queue."""
+        self.settle()
         return bool(self.arena.run[self._slot_of(entity)])
 
     # --- the three SFQ rules ---------------------------------------------
@@ -206,11 +265,14 @@ class SfqQueue:
         slot = self._slots.get(id(entity))
         if slot is None:
             slot = self._slot_of(entity)
+        state = self._state
+        fold = state[_FOLD]
+        if fold is not None:
+            fold.settle()
         arena = self.arena
         if arena.run[slot]:
             return
         arena.run[slot] = 1
-        state = self._state
         state[_RC] += 1
         start = arena.fin[slot]
         if start < state[_VT]:
@@ -220,24 +282,31 @@ class SfqQueue:
         arena.ver[slot] = version
         if self._solo < 0:
             heappush(self._heap, (start, arena.seq[slot], version, slot))
+        if fold is not None:
+            fold.resync()
 
     def set_blocked(self, entity: Any) -> None:
         """Mark an entity ineligible; updates idle virtual time if needed."""
         slot = self._slots.get(id(entity))
         if slot is None:
             slot = self._slot_of(entity)
+        state = self._state
+        fold = state[_FOLD]
+        if fold is not None:
+            fold.settle()
         arena = self.arena
         if not arena.run[slot]:
             return
         arena.run[slot] = 0
         arena.ver[slot] += 1  # lazy-remove from heap
-        state = self._state
         state[_RC] -= 1
         if state[_RC] == 0:
             # Paper rule: when the server goes idle, v jumps to the maximum
             # finish tag assigned to any entity.
             if state[_MF] > state[_VT]:
                 state[_VT] = state[_MF]
+        if fold is not None:
+            fold.resync()
 
     def pick(self) -> Optional[Any]:
         """Rule 3: return the runnable entity with the smallest start tag.
@@ -247,6 +316,8 @@ class SfqQueue:
         """
         arena = self.arena
         state = self._state
+        if state[_FOLD] is not None:
+            state[_FOLD].settle()
         solo = self._solo
         if solo >= 0:
             if not arena.run[solo]:
@@ -284,6 +355,9 @@ class SfqQueue:
             slot = self._slot_of(entity)
         if weight is None:
             weight = entity.weight
+        state = self._state
+        if state[_FOLD] is not None:
+            state[_FOLD].settle()
         arena = self.arena
         if self._float_fast:
             if weight <= 0:
@@ -293,7 +367,6 @@ class SfqQueue:
         else:
             finish = self.tags.advance(arena.start[slot], length, weight)
         arena.fin[slot] = finish
-        state = self._state
         if finish > state[_MF]:
             state[_MF] = finish
         if arena.run[slot]:
@@ -347,13 +420,14 @@ queue_set_runnable = SfqQueue.set_runnable
 queue_set_blocked = SfqQueue.set_blocked
 
 
-#: one ancestor level of a cached chain (see :func:`build_ancestor_chain`)
+#: one entry of a cached chain: an ancestor level or a folded run (see
+#: :func:`build_ancestor_chain`)
 ChainEntry = Tuple[Any, ...]
 
 # Indices into a chain entry (the walks below unpack it in this order).
 _CH_QUEUE = 0
 _CH_FLOAT = 1
-_CH_SOLO = 2
+_CH_FOLD = 2  # the SoloRun of a run entry; None on a level entry
 _CH_HEAP = 3
 _CH_STATE = 4
 _CH_START = 5
@@ -366,30 +440,238 @@ _CH_ENTITY = 11
 _CH_PARENT = 12
 
 
-def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
-    """Precompute one flat entry per ancestor of ``leaf``.
+def _level_entry(parent: Any, node: Any) -> ChainEntry:
+    """The entry of ``node``'s level: its parent's queue, with the columns
+    and the slot the walks touch pre-resolved."""
+    queue = parent.queue
+    arena = queue.arena
+    return (queue, queue._float_fast, None, queue._heap, queue._state,
+            arena.start, arena.fin, arena.run, arena.ver, arena.seq,
+            queue.slot_of(node), node, parent)
 
-    Each entry pre-resolves everything the chain walks touch — the
-    ancestor's queue object, its solo slot, heap, state vector, the arena
-    columns, the child's slot — so the per-level work is pure list
-    indexing.  The chain mirrors the leaf-to-root walks the hierarchy
-    performs on charge and eligibility changes, and stays valid until the
-    tree shape changes (``mknod`` and ``rmnod`` drop every cached chain;
-    solo membership also only changes with the shape, so baking it here
-    is safe).
+
+class SoloRun:
+    """A maximal run of solo ancestor queues, walked as one chain entry.
+
+    ``levels`` holds one level entry per queue of the run, bottom first:
+    the tuples an unfolded chain would hold.  ``bottom`` is the node below
+    the run and ``top`` the node owning its top queue.  ``log`` holds the
+    ops not yet applied to the run's queues, and ``flags`` each level's
+    runnable flag as of the log's first op, where a replay starts.  The
+    queues' tags, their child's runnable flag and their runnable count are
+    current only after :meth:`settle`; the nodes' ``runnable`` flags are
+    kept eagerly by the walks.  Every queue of the run points back here
+    from its state vector, so that its readers settle the run and the
+    descent jumps over it from its top.  The run lives until the tree's
+    shape changes: :func:`unfold_chain` settles it and takes it off its
+    queues.
+    """
+
+    __slots__ = ("levels", "gates", "nodes", "flags", "log", "split",
+                 "bottom", "top", "depth", "entry")
+
+    def __init__(self, bottom: Any) -> None:
+        levels: List[ChainEntry] = []
+        #: per level, the node a wake or sleep marks, and the op of a wake
+        #: that stops there
+        gates: List[Tuple[Any, int]] = []
+        flags: List[int] = []
+        node = bottom
+        parent = node.parent
+        op = _WAKE
+        while parent is not None:
+            queue = parent.queue
+            slot = queue._solo  # the only child's slot
+            if slot < 0:
+                break
+            state = queue._state
+            state[_FOLD] = self
+            arena = queue.arena
+            levels.append((queue, queue._float_fast, None, queue._heap,
+                           state, arena.start, arena.fin, arena.run,
+                           arena.ver, arena.seq, slot, node, parent))
+            gates.append((parent, op))
+            flags.append(arena.run[slot])
+            op -= 1
+            node = parent
+            parent = node.parent
+        self.levels = levels
+        self.gates = gates
+        #: the nodes owning the run's queues, bottom first
+        self.nodes = [parent for parent, __ in gates]
+        self.flags = flags
+        self.log: List[int] = []
+        #: whether the log holds a wake that stopped inside the run
+        self.split = False
+        self.bottom = bottom
+        self.top = node
+        #: the levels the descent jumps over
+        self.depth = len(levels)
+        #: the run's entry in a cached chain
+        self.entry: ChainEntry = (None, None, self) + (None,) * 10
+
+    def settle(self) -> None:
+        """Apply the pending log to the run's queues and empty it.
+
+        Level by level, each op does what the walk that logged it would
+        have done to that level's queue: a charge advances ``F`` from
+        ``S`` (and restamps ``S = F`` while the child is runnable), a pick
+        sets ``v = S``, a wake that reaches the level marks a child that
+        was not runnable and stamps ``S = max(v, F)``, and a sleep of a
+        runnable child lets ``v`` jump to the maximum finish tag (a solo
+        queue's runnable count is its one child's flag).
+        """
+        log = self.log
+        if not log:
+            return
+        flags = self.flags
+        # A level that starts from the same tags, flag and weight as the
+        # level below it takes the same steps to the same values, so it
+        # copies them -- unless a wake that stopped inside the run treats
+        # the levels below and above its stop differently.
+        split = self.split
+        below = None
+        for index, (queue, float_fast, __, ___, state, start_col, fin_col,
+                    run_col, ____, _____, slot, entity,
+                    ______) in enumerate(self.levels):
+            start = start_col[slot]
+            finish = fin_col[slot]
+            vt = state[_VT]
+            mf = state[_MF]
+            run = flags[index]
+            key = (entity.weight, start, finish, vt, mf, run)
+            if key == below and not split:
+                start, finish, vt, mf, run = after
+            elif float_fast:
+                weight = key[0]
+                reach = _WAKE - index  # the wake ops that reach this level
+                for op in log:
+                    if op >= 0:
+                        finish = start + op / weight  # schedlint: disable=SL004
+                        if finish > mf:
+                            mf = finish
+                        if run:
+                            start = finish
+                    elif op == _PICK:
+                        vt = start
+                    elif op == _SLEEP:
+                        if run:
+                            run = 0
+                            if mf > vt:
+                                vt = mf
+                    elif op <= reach and not run:
+                        run = 1
+                        start = finish
+                        if start < vt:
+                            start = vt
+            else:
+                # the same replay, with exact mode's TagMath.advance
+                weight = key[0]
+                reach = _WAKE - index
+                advance = queue.tags.advance
+                for op in log:
+                    if op >= 0:
+                        finish = advance(start, op, weight)
+                        if finish > mf:
+                            mf = finish
+                        if run:
+                            start = finish
+                    elif op == _PICK:
+                        vt = start
+                    elif op == _SLEEP:
+                        if run:
+                            run = 0
+                            if mf > vt:
+                                vt = mf
+                    elif op <= reach and not run:
+                        run = 1
+                        start = finish
+                        if start < vt:
+                            start = vt
+            below = key
+            after = (start, finish, vt, mf, run)
+            start_col[slot] = start
+            fin_col[slot] = finish
+            state[_VT] = vt
+            state[_MF] = mf
+            run_col[slot] = run
+            state[_RC] = run
+            flags[index] = run
+        del log[:]
+        self.split = False
+
+    def resync(self) -> None:
+        """Take each level's runnable flag as the next log's start, after
+        a queue method changed one directly (the log is empty then)."""
+        self.flags = [level[_CH_RUN][level[_CH_SLOT]]
+                      for level in self.levels]
+
+    def unfold(self) -> None:
+        """Settle the run and take it off its queues (a shape change)."""
+        self.settle()
+        for level in self.levels:
+            state = level[_CH_STATE]
+            if state[_FOLD] is self:
+                state[_FOLD] = None
+
+
+def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
+    """Precompute the entries of ``leaf``'s ancestor chain, leaf first.
+
+    An ancestor whose queue has siblings to order gets a *level entry*: its
+    queue object and tag mode, heap, state vector, the arena columns and
+    the child's slot, so the per-level work is pure list indexing.  Each
+    maximal run of solo ancestor queues gets one *run entry* instead,
+    whose ``_CH_FOLD`` field is the run's :class:`SoloRun` (and every
+    other field ``None``): the walks log their op there, and
+    :func:`expand_chain` gives back the run's levels, settled.  A run is
+    found here the first time a chain through it is built, and shared by
+    every later chain through it.
+
+    The chain mirrors the leaf-to-root walks the hierarchy performs on
+    charge and eligibility changes, and stays valid until the tree shape
+    changes (``mknod`` and ``rmnod`` unfold every run and drop every
+    cached chain; solo membership also only changes with the shape, so a
+    level entry's queue always has a heap).
     """
     chain: List[ChainEntry] = []
     node = leaf
     while node.parent is not None:
         parent = node.parent
         queue = parent.queue
-        arena = queue.arena
-        chain.append((queue, queue._float_fast, queue._solo, queue._heap,
-                      queue._state, arena.start, arena.fin, arena.run,
-                      arena.ver, arena.seq, queue.slot_of(node), node,
-                      parent))
-        node = parent
+        if queue._solo >= 0:
+            fold = queue._state[_FOLD]
+            if fold is None:
+                fold = SoloRun(node)
+            chain.append(fold.entry)
+            node = fold.top
+        else:
+            chain.append(_level_entry(parent, node))
+            node = parent
     return chain
+
+
+def expand_chain(chain: List[ChainEntry]) -> List[ChainEntry]:
+    """The level entries of ``chain``, leaf first, with every folded run
+    settled: what the traced walks emit from."""
+    levels: List[ChainEntry] = []
+    for entry in chain:
+        fold = entry[_CH_FOLD]
+        if fold is None:
+            levels.append(entry)
+        else:
+            fold.settle()
+            levels.extend(fold.levels)
+    return levels
+
+
+def unfold_chain(chain: List[ChainEntry]) -> None:
+    """Settle every folded run of ``chain`` and take it off its queues;
+    the structure calls this before a shape change drops the chain."""
+    for entry in chain:
+        fold = entry[_CH_FOLD]
+        if fold is not None:
+            fold.unfold()
 
 
 def charge_chain(chain: List[ChainEntry], length: int) -> None:
@@ -398,17 +680,19 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
     Semantically identical to calling ``queue.charge(entity, length)``
     level by level — weights are still read live at charge time, so
     dynamic weight changes keep Figure-11 behaviour — but with the per-call
-    record lookups hoisted into the cached chain.  Preconditions (enforced
-    by the machine and structure, not re-checked here): ``length >= 0``
-    and every entity registered with a positive weight.
-
-    The three walks leave a solo queue's heap versions alone: a solo queue
-    holds no heap entries, and :meth:`SfqQueue.add` bumps the version of
-    a runnable solo slot when the queue leaves solo mode, so versions
-    still never decrease and no stale entry can validate.
+    record lookups hoisted into the cached chain, and a folded run's
+    levels charged when it next settles.  Preconditions (enforced by the
+    machine and structure, not re-checked here): ``length >= 0`` and every
+    entity registered with a positive weight.
     """
-    for (queue, float_fast, solo, heap, state, start_col, fin_col, run_col,
+    for (queue, float_fast, fold, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, entity, __) in chain:
+        if fold is not None:
+            log = fold.log
+            log.append(length)
+            if len(log) >= _LOG_LIMIT:
+                fold.settle()
+            continue
         weight = entity.weight
         if float_fast:
             finish = start_col[slot] + length / weight  # schedlint: disable=SL004
@@ -419,15 +703,14 @@ def charge_chain(chain: List[ChainEntry], length: int) -> None:
             state[_MF] = finish
         if run_col[slot]:
             start_col[slot] = finish
-            if solo < 0:
-                version = ver_col[slot] + 1
-                ver_col[slot] = version
-                entry = (finish, seq_col[slot], version, slot)
-                head = heap[0]  # re-key in place, as in SfqQueue.charge
-                if head[3] == slot and head[2] == version - 1:
-                    heapreplace(heap, entry)
-                else:
-                    heappush(heap, entry)
+            version = ver_col[slot] + 1
+            ver_col[slot] = version
+            entry = (finish, seq_col[slot], version, slot)
+            head = heap[0]  # re-key in place, as in SfqQueue.charge
+            if head[3] == slot and head[2] == version - 1:
+                heapreplace(heap, entry)
+            else:
+                heappush(heap, entry)
 
 
 def wake_chain(chain: List[ChainEntry]) -> None:
@@ -435,10 +718,25 @@ def wake_chain(chain: List[ChainEntry]) -> None:
 
     Per level: :meth:`SfqQueue.set_runnable` for the child, stopping after
     the first parent that was already runnable — exactly the walk in
-    :meth:`HierarchicalScheduler.setrun`.
+    :meth:`HierarchicalScheduler.setrun`.  In a folded run the walk marks
+    the nodes runnable level by level and logs the rest for the run.
     """
-    for (__, ___, solo, heap, state, start_col, fin_col, run_col,
+    for (__, ___, fold, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, ____, parent) in chain:
+        if fold is not None:
+            stopped = False
+            for parent, op in fold.gates:
+                if parent.runnable:
+                    stopped = fold.split = True  # the wake ends in the run
+                    break
+                parent.runnable = True
+            log = fold.log
+            log.append(op)
+            if len(log) >= _LOG_LIMIT:
+                fold.settle()
+            if stopped:
+                return
+            continue
         if not run_col[slot]:
             run_col[slot] = 1
             state[_RC] += 1
@@ -446,10 +744,9 @@ def wake_chain(chain: List[ChainEntry]) -> None:
             if start < state[_VT]:
                 start = state[_VT]
             start_col[slot] = start
-            if solo < 0:
-                version = ver_col[slot] + 1
-                ver_col[slot] = version
-                heappush(heap, (start, seq_col[slot], version, slot))
+            version = ver_col[slot] + 1
+            ver_col[slot] = version
+            heappush(heap, (start, seq_col[slot], version, slot))
         if parent.runnable:
             return
         parent.runnable = True
@@ -465,7 +762,9 @@ def pick_leaf(root: Any) -> Tuple[Optional[Any], int]:
     to raise its usual diagnostic (pick is peek-like, so the partial
     descent's virtual-time updates match what the re-walk recomputes).
     Each internal node carries its queue's column view as ``node.view``;
-    a leaf's view is ``None``, which ends the descent.
+    a leaf's view is ``None``, which ends the descent.  At the top of a
+    folded run the descent logs the pick, jumps to the node below the run
+    and counts the levels it jumped, so ``depth`` is always the full depth.
     """
     node = root
     depth = 1
@@ -474,6 +773,18 @@ def pick_leaf(root: Any) -> Tuple[Optional[Any], int]:
         heap, state, ent_col, start_col, run_col, ver_col = view
         slot = state[_SOLO]
         if slot >= 0:
+            fold = state[_FOLD]
+            if fold is not None:
+                # the descent reached a runnable node, and every level of
+                # its run holds just the runnable child below it
+                log = fold.log
+                log.append(_PICK)
+                if len(log) >= _LOG_LIMIT:
+                    fold.settle()
+                node = fold.bottom
+                view = node.view
+                depth += fold.depth
+                continue
             if not run_col[slot]:
                 return None, depth
             state[_VT] = start_col[slot]
@@ -499,14 +810,23 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
 
     Per level: :meth:`SfqQueue.set_blocked` for the child, stopping at the
     first ancestor queue that still has runnable children — exactly the
-    walk in :meth:`HierarchicalScheduler.sleep`.
+    walk in :meth:`HierarchicalScheduler.sleep`.  A solo queue's runnable
+    count is its one child's flag, so a sleep that reaches a folded run
+    idles every node of it, and logs the rest for the run.
     """
-    for (__, ___, solo, ____, state, _____, ______, run_col,
+    for (__, ___, fold, ____, state, _____, ______, run_col,
          ver_col, _______, slot, ________, parent) in chain:
+        if fold is not None:
+            for parent in fold.nodes:
+                parent.runnable = False
+            log = fold.log
+            log.append(_SLEEP)
+            if len(log) >= _LOG_LIMIT:
+                fold.settle()
+            continue
         if run_col[slot]:
             run_col[slot] = 0
-            if solo < 0:
-                ver_col[slot] += 1  # lazy-remove from heap
+            ver_col[slot] += 1  # lazy-remove from heap
             state[_RC] -= 1
             if state[_RC] == 0:
                 if state[_MF] > state[_VT]:
@@ -514,4 +834,3 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
         if state[_RC] > 0:
             return
         parent.runnable = False
-

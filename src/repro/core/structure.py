@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Union
 
 from repro.core.node import InternalNode, LeafNode, Node, require_leaf
+from repro.core.sfq import unfold_chain
 from repro.core.tags import TagMath
 from repro.errors import (
     NodeBusyError,
@@ -67,9 +68,11 @@ class SchedulingStructure:
         return node
 
     def _drop_chains(self) -> None:
-        """Forget every cached ancestor chain; ``mknod`` and ``rmnod`` call
-        this, because a chain bakes in the tree's shape."""
+        """Forget every cached ancestor chain, settling and unfolding its
+        runs of solo queues; ``mknod`` and ``rmnod`` call this, because a
+        chain and its runs bake in the tree's shape."""
         for leaf in self.chained_leaves:
+            unfold_chain(leaf.chain)
             leaf.chain = None
         del self.chained_leaves[:]
 

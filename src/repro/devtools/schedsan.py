@@ -249,6 +249,7 @@ class SchedsanScheduler(TopScheduler):
         ``.weight`` stores that make such warps invisible to this check.
         """
         queue = parent.queue
+        queue.settle()  # a folded run's columns are current once settled
         arena = queue.arena
         children = parent.children.values()
         weights = dict(zip(map(_NODE_ID, children), map(_WEIGHT, children)))

@@ -56,8 +56,8 @@ trees = st.lists(subtrees(), min_size=1, max_size=3)
 thread_specs = st.lists(st.tuples(st.integers(0, 63), st.integers(1, 5)),
                         min_size=2, max_size=5)
 
-OPS = ("wake", "block", "serve", "serve", "serve", "pick", "smp", "mknod",
-       "rmnod", "move", "weight")
+OPS = ("wake", "wake", "block", "block", "serve", "serve", "serve", "pick",
+       "smp", "smp_sleep", "mknod", "rmnod", "move", "weight", "weight")
 #: (what, pick, amount)
 scripts = st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 63),
                              st.integers(0, 90)),
@@ -132,7 +132,7 @@ class Twin:
                 thread.transition(ThreadState.RUNNING)
                 thread.transition(ThreadState.SLEEPING)
                 scheduler.thread_blocked(thread, 0)
-        elif what in ("serve", "pick", "smp"):
+        elif what in ("serve", "pick", "smp", "smp_sleep"):
             picked = scheduler.pick_next(0)
             if picked is None:
                 return None
@@ -143,6 +143,12 @@ class Twin:
                 scheduler.thread_blocked(picked, 0)
                 scheduler.charge(picked, amount * 1_000, 0)
                 scheduler.thread_runnable(picked, 0)
+            elif what == "smp_sleep":
+                # withdrawn, charged, and asleep at the end of the quantum
+                scheduler.thread_blocked(picked, 0)
+                scheduler.charge(picked, amount * 1_000, 0)
+                picked.transition(ThreadState.RUNNING)
+                picked.transition(ThreadState.SLEEPING)
             return picked.name, scheduler.decision_depth
         elif what == "mknod":
             # give an internal node one more child: a solo queue gains a
@@ -232,7 +238,7 @@ def check(exact: bool, tree: List[Spec], threads: List[Tuple[int, int]],
 
 
 @given(trees, thread_specs, scripts, st.booleans(), st.booleans())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_untraced_matches_reference(tree, threads, script, exact, every):
     check(exact, tree, threads, script, every, None)
 
@@ -257,6 +263,8 @@ def _long_script(rounds: int) -> List[Tuple[str, int, int]]:
             script.append(("smp", 0, 3 + index % 4))
         if index % 11 == 6:
             script.append(("pick", 0, 0))
+        if index % 13 == 9:
+            script.append(("smp_sleep", 0, 5))
     return script
 
 
@@ -270,3 +278,27 @@ def test_long_untraced_stretch_matches_reference():
     threads = [(0, 1), (1, 2), (2, 3)]
     for exact in (False, True):
         check(exact, tree, threads, _long_script(400), False, None)
+
+
+def test_charges_before_a_weight_change_keep_their_weight():
+    """Charges a run holds when a node of it changes weight advance the
+    tags at the weight they were made at."""
+    tree: List[Spec] = [([3, 2], 1, None), ([], 1, None)]
+    for pick in (1, 2):
+        script = [("wake", 0, 0), ("wake", 1, 0), ("serve", 0, 5),
+                  ("serve", 0, 7), ("serve", 0, 9), ("weight", pick, 3),
+                  ("serve", 0, 11), ("serve", 0, 5)]
+        for exact in (False, True):
+            check(exact, tree, [(0, 1), (1, 1)], script, False, None)
+
+
+def test_late_wake_stamps_max_of_v_and_f_in_a_new_run():
+    """A queue turned solo by ``rmnod`` keeps the virtual time its removed
+    child earned, so its remaining child's next wake stamps ``S = v``."""
+    tree: List[Spec] = [([], 2, [([], 1, None), ([], 1, None)]),
+                        ([], 1, None)]
+    script = ([("wake", 0, 0), ("wake", 2, 0)] + [("serve", 0, 30)] * 6
+              + [("block", 0, 0), ("move", 0, 2), ("rmnod", 0, 0),
+                 ("wake", 1, 0), ("serve", 0, 10)])
+    for exact in (False, True):
+        check(exact, tree, [(0, 1), (1, 1), (2, 1)], script, False, None)

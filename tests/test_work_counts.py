@@ -14,12 +14,14 @@ from repro.core.hierarchy import HierarchicalScheduler
 from repro.core.structure import SchedulingStructure
 from repro.core.tags import FLOAT
 from repro.cpu.machine import Machine
+from repro.experiments.common import figure6_structure
 from repro.schedulers.sfq_leaf import SfqScheduler
 from repro.sim.engine import Simulator
 from repro.threads.segments import Compute, SegmentListWorkload, SleepFor
 from repro.threads.states import ThreadState
 from repro.threads.thread import SimThread
 from repro.units import MS, SECOND
+from repro.workloads.dhrystone import DhrystoneWorkload
 
 from tests import goldens
 
@@ -111,7 +113,7 @@ class TestHotPathCounts:
     @pytest.mark.parametrize(
         "scenario, horizon, walks, descent_levels, walk_levels, queue_ops", [
             ("figure5", 2 * SECOND, (0, 0, 0, 0), 0, 0, (150, 149, 27, 22)),
-            ("depth8", 500 * MS, (341, 340, 78, 75), 2_728, 3_944,
+            ("depth8", 500 * MS, (341, 340, 78, 75), 2_728, 986,
              (341, 340, 139, 135)),
             ("figure8", 2 * SECOND, (121, 120, 4, 1), 121, 125,
              (115, 114, 4, 0)),
@@ -143,3 +145,26 @@ class TestHotPathCounts:
         assert tuple(calls[name] for name in _WALKS) == walks
         assert covered == {"descent": descent_levels, "walks": walk_levels}
         assert tuple(calls[name] for name in _QUEUE_OPS) == queue_ops
+
+
+class TestPassThroughLevels:
+    """Figure 7(b) deepens the tree with pass-through nodes; each run of
+    them walks as one chain entry, while the descent still reports the
+    full depth that Figure 7's cost model prices."""
+
+    def test_thirty_pass_through_levels_add_one_chain_entry(self):
+        chains, depths = {}, {}
+        for interposed in (0, 30):
+            structure, sfq1, __, ___ = figure6_structure(
+                interposed_depth=interposed)
+            machine = Machine(Simulator(), HierarchicalScheduler(structure),
+                              capacity_ips=100_000_000,
+                              default_quantum=1 * MS)
+            thread = SimThread("dhry", DhrystoneWorkload(300, 10_000))
+            sfq1.attach_thread(thread)
+            machine.spawn(thread)
+            machine.run_until(20 * MS)
+            chains[interposed] = len(sfq1.chain)
+            depths[interposed] = machine.scheduler.decision_depth
+        assert chains[30] <= chains[0] + 1
+        assert depths == {0: 2, 30: 32}
