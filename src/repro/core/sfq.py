@@ -56,29 +56,40 @@ decide nothing while it stays solo.  Each maximal run of solo ancestor
 queues (Figure 7(b)'s pass-through nodes) is one :class:`SoloRun`, found
 lazily when a chain first needs it and shared by every leaf below it.  A
 cached chain holds the whole run as one entry, and the descent jumps from
-the run's top to the node below its bottom.  A charge, pick, wake or sleep
-that reaches the run appends one op to the run's pending log instead of
-writing the run's tags; eligibility (the ``run`` flags, the runnable
-counts and ``node.runnable``) stays eager, level by level.
+the run's top to the node below its bottom, adding the levels it skips to
+the depth it returns.  A charge, pick, wake or sleep that reaches the run
+appends one op to the run's pending log instead of writing the run's
+queues: their tags, their child's ``run`` flag and their runnable count
+wait for the log, while ``node.runnable`` stays eager, level by level.
 :meth:`SoloRun.settle` replays the log level by level, in order, exactly as
 :func:`charge_chain`, :func:`pick_leaf`, :func:`wake_chain` and
 :func:`sleep_chain` would have applied it: float mode evaluates
 ``start + length / weight`` one charge at a time, inlined as the walks do,
 and exact mode goes through :meth:`TagMath.advance`, so every tag is
-bit-identical to the eager walk.  A log replays itself when it reaches
-:data:`_LOG_LIMIT` ops, so memory stays flat.
+bit-identical to the eager walk.  A level whose weight, tags and flag
+equal the level's below it copies that level's result.  A log replays
+itself when it reaches :data:`_LOG_LIMIT` ops, so memory stays flat.
 
-The rule: **every reader of a run's tags settles it first.**  The readers
-are :meth:`SfqQueue.add` and :meth:`SfqQueue.remove` (a shape change, after
-which the structure unfolds every run), ``Node.set_weight`` (a replay
-must use the weight in force at each charge), the traced walks of the
-hierarchy (:func:`expand_chain`), SCHEDSAN's audits, and the queue's own
-:attr:`~SfqQueue.virtual_time`, :meth:`~SfqQueue.start_tag`,
+The rule: **every reader of a run's queues settles it first.**  The
+readers are :meth:`SfqQueue.add` and :meth:`SfqQueue.remove` (a shape
+change, after which the structure unfolds every run), ``Node.set_weight``
+(a replay must use the weight in force at each charge), the traced walks
+of the hierarchy (:func:`expand_chain`), SCHEDSAN's audits, and the
+queue's own :attr:`~SfqQueue.virtual_time`,
+:attr:`~SfqQueue.runnable_count`, :meth:`~SfqQueue.has_runnable`,
+:meth:`~SfqQueue.is_runnable`, :meth:`~SfqQueue.start_tag`,
 :meth:`~SfqQueue.finish_tag`, :meth:`~SfqQueue.pick`,
 :meth:`~SfqQueue.charge`, :meth:`~SfqQueue.set_runnable` and
 :meth:`~SfqQueue.set_blocked` (so ``admin(INFO)``, schedstat and the
 descent's error re-walk read settled values).  Code that reads the
 ``arena`` columns of a queue directly calls :meth:`SfqQueue.settle` first.
+
+The walks keep a run's levels in step: each node of a run is runnable
+exactly when its only child is, so a sleep that reaches a run idles all
+of it, and the descent, entering a run at a runnable top, logs one pick
+for every level.  A wake that finds a node of the run already runnable
+(a state only direct queue calls make) stops there, and its op records
+how far it got.
 
 Module-level hot functions
 --------------------------
@@ -653,7 +664,13 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
 
 def expand_chain(chain: List[ChainEntry]) -> List[ChainEntry]:
     """The level entries of ``chain``, leaf first, with every folded run
-    settled: what the traced walks emit from."""
+    settled: what the traced walks emit from (``chain`` itself when it
+    holds no run)."""
+    for entry in chain:
+        if entry[_CH_FOLD] is not None:
+            break
+    else:
+        return chain
     levels: List[ChainEntry] = []
     for entry in chain:
         fold = entry[_CH_FOLD]

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments            # all figures + ablations
-    python -m repro.experiments --quick    # reduced durations (~15 s)
+    python -m repro.experiments --quick    # reduced durations (~1 s)
     python -m repro.experiments figure8 ab6  # a selection
 
 The per-figure modules remain runnable on their own
