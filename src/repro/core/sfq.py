@@ -478,18 +478,15 @@ class SoloRun:
     queues.
     """
 
-    __slots__ = ("levels", "gates", "nodes", "flags", "log", "split",
-                 "bottom", "top", "depth", "entry")
+    __slots__ = ("levels", "nodes", "flags", "log", "split", "bottom",
+                 "top", "depth", "entry")
 
     def __init__(self, bottom: Any) -> None:
         levels: List[ChainEntry] = []
-        #: per level, the node a wake or sleep marks, and the op of a wake
-        #: that stops there
-        gates: List[Tuple[Any, int]] = []
+        nodes: List[Any] = []
         flags: List[int] = []
         node = bottom
         parent = node.parent
-        op = _WAKE
         while parent is not None:
             queue = parent.queue
             slot = queue._solo  # the only child's slot
@@ -501,15 +498,14 @@ class SoloRun:
             levels.append((queue, queue._float_fast, None, queue._heap,
                            state, arena.start, arena.fin, arena.run,
                            arena.ver, arena.seq, slot, node, parent))
-            gates.append((parent, op))
+            nodes.append(parent)
             flags.append(arena.run[slot])
-            op -= 1
             node = parent
             parent = node.parent
         self.levels = levels
-        self.gates = gates
-        #: the nodes owning the run's queues, bottom first
-        self.nodes = [parent for parent, __ in gates]
+        #: the nodes owning the run's queues, bottom first: a wake or
+        #: sleep marks them eagerly
+        self.nodes = nodes
         self.flags = flags
         self.log: List[int] = []
         #: whether the log holds a wake that stopped inside the run
@@ -520,6 +516,14 @@ class SoloRun:
         self.depth = len(levels)
         #: the run's entry in a cached chain
         self.entry: ChainEntry = (None, None, self) + (None,) * 10
+
+    def defer(self, op: int) -> None:
+        """Log one op for the run's queues; replay the log once it is
+        full."""
+        log = self.log
+        log.append(op)
+        if len(log) >= _LOG_LIMIT:
+            self.settle()
 
     def settle(self) -> None:
         """Apply the pending log to the run's queues and empty it.
@@ -741,19 +745,18 @@ def wake_chain(chain: List[ChainEntry]) -> None:
     for (__, ___, fold, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, ____, parent) in chain:
         if fold is not None:
-            stopped = False
-            for parent, op in fold.gates:
+            nodes = fold.nodes
+            for parent in nodes:
                 if parent.runnable:
-                    stopped = fold.split = True  # the wake ends in the run
                     break
                 parent.runnable = True
-            log = fold.log
-            log.append(op)
-            if len(log) >= _LOG_LIMIT:
-                fold.settle()
-            if stopped:
-                return
-            continue
+            else:
+                fold.defer(_WAKE - fold.depth + 1)  # it reached every level
+                continue
+            # the wake ends at a runnable node of the run
+            fold.split = True
+            fold.defer(_WAKE - nodes.index(parent))
+            return
         if not run_col[slot]:
             run_col[slot] = 1
             state[_RC] += 1
