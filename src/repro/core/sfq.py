@@ -277,9 +277,8 @@ class SfqQueue:
         if slot is None:
             slot = self._slot_of(entity)
         state = self._state
-        fold = state[_FOLD]
-        if fold is not None:
-            fold.settle()
+        if state[_FOLD] is not None:
+            state[_FOLD].settle()
         arena = self.arena
         if arena.run[slot]:
             return
@@ -293,8 +292,6 @@ class SfqQueue:
         arena.ver[slot] = version
         if self._solo < 0:
             heappush(self._heap, (start, arena.seq[slot], version, slot))
-        if fold is not None:
-            fold.resync()
 
     def set_blocked(self, entity: Any) -> None:
         """Mark an entity ineligible; updates idle virtual time if needed."""
@@ -302,9 +299,8 @@ class SfqQueue:
         if slot is None:
             slot = self._slot_of(entity)
         state = self._state
-        fold = state[_FOLD]
-        if fold is not None:
-            fold.settle()
+        if state[_FOLD] is not None:
+            state[_FOLD].settle()
         arena = self.arena
         if not arena.run[slot]:
             return
@@ -316,8 +312,6 @@ class SfqQueue:
             # finish tag assigned to any entity.
             if state[_MF] > state[_VT]:
                 state[_VT] = state[_MF]
-        if fold is not None:
-            fold.resync()
 
     def pick(self) -> Optional[Any]:
         """Rule 3: return the runnable entity with the smallest start tag.
@@ -451,40 +445,29 @@ _CH_ENTITY = 11
 _CH_PARENT = 12
 
 
-def _level_entry(parent: Any, node: Any) -> ChainEntry:
-    """The entry of ``node``'s level: its parent's queue, with the columns
-    and the slot the walks touch pre-resolved."""
-    queue = parent.queue
-    arena = queue.arena
-    return (queue, queue._float_fast, None, queue._heap, queue._state,
-            arena.start, arena.fin, arena.run, arena.ver, arena.seq,
-            queue.slot_of(node), node, parent)
-
-
 class SoloRun:
     """A maximal run of solo ancestor queues, walked as one chain entry.
 
     ``levels`` holds one level entry per queue of the run, bottom first:
     the tuples an unfolded chain would hold.  ``bottom`` is the node below
     the run and ``top`` the node owning its top queue.  ``log`` holds the
-    ops not yet applied to the run's queues, and ``flags`` each level's
-    runnable flag as of the log's first op, where a replay starts.  The
-    queues' tags, their child's runnable flag and their runnable count are
-    current only after :meth:`settle`; the nodes' ``runnable`` flags are
-    kept eagerly by the walks.  Every queue of the run points back here
-    from its state vector, so that its readers settle the run and the
-    descent jumps over it from its top.  The run lives until the tree's
-    shape changes: :func:`unfold_chain` settles it and takes it off its
-    queues.
+    ops not yet applied to the run's queues: their tags, their child's
+    runnable flag and their runnable count are current only after
+    :meth:`settle`, which starts from the values it last wrote (the queue
+    methods settle before they change one).  The nodes' ``runnable``
+    flags are kept eagerly by the walks.  Every queue of the run points
+    back here from its state vector, so that its readers settle the run
+    and the descent jumps over it from its top.  The run lives until the
+    tree's shape changes: :func:`unfold_chain` settles it and takes it off
+    its queues.
     """
 
-    __slots__ = ("levels", "nodes", "flags", "log", "split", "bottom",
-                 "top", "depth", "entry")
+    __slots__ = ("levels", "nodes", "log", "split", "bottom", "top",
+                 "depth", "entry")
 
     def __init__(self, bottom: Any) -> None:
         levels: List[ChainEntry] = []
         nodes: List[Any] = []
-        flags: List[int] = []
         node = bottom
         parent = node.parent
         while parent is not None:
@@ -499,14 +482,12 @@ class SoloRun:
                            state, arena.start, arena.fin, arena.run,
                            arena.ver, arena.seq, slot, node, parent))
             nodes.append(parent)
-            flags.append(arena.run[slot])
             node = parent
             parent = node.parent
         self.levels = levels
         #: the nodes owning the run's queues, bottom first: a wake or
         #: sleep marks them eagerly
         self.nodes = nodes
-        self.flags = flags
         self.log: List[int] = []
         #: whether the log holds a wake that stopped inside the run
         self.split = False
@@ -539,7 +520,6 @@ class SoloRun:
         log = self.log
         if not log:
             return
-        flags = self.flags
         # A level that starts from the same tags, flag and weight as the
         # level below it takes the same steps to the same values, so it
         # copies them -- unless a wake that stopped inside the run treats
@@ -553,7 +533,7 @@ class SoloRun:
             finish = fin_col[slot]
             vt = state[_VT]
             mf = state[_MF]
-            run = flags[index]
+            run = run_col[slot]
             key = (entity.weight, start, finish, vt, mf, run)
             if key == below and not split:
                 start, finish, vt, mf, run = after
@@ -611,15 +591,8 @@ class SoloRun:
             state[_MF] = mf
             run_col[slot] = run
             state[_RC] = run
-            flags[index] = run
         del log[:]
         self.split = False
-
-    def resync(self) -> None:
-        """Take each level's runnable flag as the next log's start, after
-        a queue method changed one directly (the log is empty then)."""
-        self.flags = [level[_CH_RUN][level[_CH_SLOT]]
-                      for level in self.levels]
 
     def unfold(self) -> None:
         """Settle the run and take it off its queues (a shape change)."""
@@ -661,7 +634,11 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
             chain.append(fold.entry)
             node = fold.top
         else:
-            chain.append(_level_entry(parent, node))
+            arena = queue.arena
+            chain.append((queue, queue._float_fast, None, queue._heap,
+                          queue._state, arena.start, arena.fin, arena.run,
+                          arena.ver, arena.seq, queue.slot_of(node), node,
+                          parent))
             node = parent
     return chain
 
@@ -839,10 +816,7 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
         if fold is not None:
             for parent in fold.nodes:
                 parent.runnable = False
-            log = fold.log
-            log.append(_SLEEP)
-            if len(log) >= _LOG_LIMIT:
-                fold.settle()
+            fold.defer(_SLEEP)
             continue
         if run_col[slot]:
             run_col[slot] = 0

@@ -117,7 +117,7 @@ class TestHotPathCounts:
              (341, 340, 139, 135)),
             ("figure8", 2 * SECOND, (121, 120, 4, 1), 121, 125,
              (115, 114, 4, 0)),
-        ])
+        ], ids=["figure5", "depth8", "figure8"])
     def test_counts(self, monkeypatch, scenario, horizon, walks,
                     descent_levels, walk_levels, queue_ops):
         calls = dict.fromkeys(_WALKS + _QUEUE_OPS, 0)
