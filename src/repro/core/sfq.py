@@ -118,7 +118,7 @@ _SOLO = 3  # the solo slot (SfqQueue._solo, mirrored for pick_leaf)
 _FOLD = 4  # the SoloRun this queue is folded into, else None
 
 #: pending ops a folded run holds before it replays them (memory stays flat)
-_LOG_LIMIT = 64
+_LOG_LIMIT = 256
 
 # The ops of a SoloRun's log: a charge is its length (an int >= 0); a wake
 # that reaches levels 0..k of the run (bottom first) is _WAKE - k.
@@ -463,7 +463,7 @@ class SoloRun:
     """
 
     __slots__ = ("levels", "nodes", "log", "split", "bottom", "top",
-                 "depth", "entry")
+                 "depth", "wake", "entry")
 
     def __init__(self, bottom: Any) -> None:
         levels: List[ChainEntry] = []
@@ -495,6 +495,8 @@ class SoloRun:
         self.top = node
         #: the levels the descent jumps over
         self.depth = len(levels)
+        #: the op of a wake that reaches every level
+        self.wake = _WAKE - len(levels) + 1
         #: the run's entry in a cached chain
         self.entry: ChainEntry = (None, None, self) + (None,) * 10
 
@@ -728,7 +730,11 @@ def wake_chain(chain: List[ChainEntry]) -> None:
                     break
                 parent.runnable = True
             else:
-                fold.defer(_WAKE - fold.depth + 1)  # it reached every level
+                # the wake reached every level
+                log = fold.log
+                log.append(fold.wake)
+                if len(log) >= _LOG_LIMIT:
+                    fold.settle()
                 continue
             # the wake ends at a runnable node of the run
             fold.split = True
@@ -816,7 +822,10 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
         if fold is not None:
             for parent in fold.nodes:
                 parent.runnable = False
-            fold.defer(_SLEEP)
+            log = fold.log
+            log.append(_SLEEP)
+            if len(log) >= _LOG_LIMIT:
+                fold.settle()
             continue
         if run_col[slot]:
             run_col[slot] = 0
