@@ -135,8 +135,12 @@ class HierarchicalScheduler(TopScheduler):
         if leaf is None:
             raise self._descent_error(root)
         if self._bus.active:
+            chain = self._chain_for(leaf)
+            levels = leaf.levels
+            if levels is None:
+                levels = expand_chain(chain)
             # the virtual time the descent just set at each level, root first
-            for entry in reversed(expand_chain(self._chain_for(leaf))):
+            for entry in reversed(levels):
                 self._bus.emit(obs.VTIME_ADVANCE_SHAPE, now,
                                entry[_CH_PARENT].path,
                                float(entry[_CH_STATE][_VT]))
@@ -175,7 +179,10 @@ class HierarchicalScheduler(TopScheduler):
             chain = self._chain_for(leaf)
         charge_chain(chain, work)
         if self._bus.active:
-            for entry in expand_chain(chain):
+            levels = leaf.levels
+            if levels is None:
+                levels = expand_chain(chain)
+            for entry in levels:
                 slot = entry[_CH_SLOT]
                 self._bus.emit(obs.TAG_UPDATE_SHAPE, now,
                                entry[_CH_ENTITY].path,
@@ -189,11 +196,14 @@ class HierarchicalScheduler(TopScheduler):
         """The ancestor chain cached on ``leaf``, built on first use.
 
         The structure's ``mknod`` and ``rmnod`` drop every cached chain,
-        because a chain bakes in the tree's shape.
+        because a chain bakes in the tree's shape.  ``leaf.levels`` notes
+        whether the chain holds a folded run: the traced walks emit from
+        it as it is, or else expand it.
         """
         chain = leaf.chain
         if chain is None:
             chain = leaf.chain = build_ancestor_chain(leaf)
+            leaf.levels = chain if expand_chain(chain) is chain else None
             self.structure.chained_leaves.append(leaf)
         return chain
 
@@ -230,14 +240,17 @@ class HierarchicalScheduler(TopScheduler):
             return
         # wake_chain stamps every level up to and including the first
         # ancestor that is already runnable: count them before it runs
-        levels = expand_chain(chain)
+        levels = leaf.levels
+        if levels is None:
+            levels = expand_chain(chain)
         walked = 0
         for entry in levels:
             walked += 1
             if entry[_CH_PARENT].runnable:
                 break
         wake_chain(chain)
-        expand_chain(chain)  # settle the stamps the wake deferred
+        if leaf.levels is None:
+            expand_chain(chain)  # settle the stamps the wake deferred
         now = self.clock()
         for entry in levels[:walked]:
             slot = entry[_CH_SLOT]

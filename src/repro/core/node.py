@@ -133,7 +133,7 @@ class InternalNode(Node):
 class LeafNode(Node):
     """A leaf node: owns a leaf scheduler and its threads."""
 
-    __slots__ = ("scheduler", "threads", "chain")
+    __slots__ = ("scheduler", "threads", "chain", "levels")
 
     def __init__(self, name: str, weight: int, parent: Optional["InternalNode"],
                  scheduler: "LeafScheduler") -> None:
@@ -143,6 +143,9 @@ class LeafNode(Node):
         #: (:func:`repro.core.sfq.build_ancestor_chain`), or ``None``
         #: until the hierarchy next needs it
         self.chain: Optional[list] = None
+        #: ``chain`` itself while it holds no folded run of solo queues
+        #: (the level entries the traced walks emit from), else ``None``
+        self.levels: Optional[list] = None
         #: attached threads, as an ordered set: iteration follows attach
         #: order, never object addresses (float sums over it must repeat)
         self.threads: Dict["SimThread", None] = {}

@@ -83,6 +83,9 @@ queue's own :attr:`~SfqQueue.virtual_time`,
 :meth:`~SfqQueue.set_blocked` (so ``admin(INFO)``, schedstat and the
 descent's error re-walk read settled values).  Code that reads the
 ``arena`` columns of a queue directly calls :meth:`SfqQueue.settle` first.
+The module-level ``queue_*`` functions apply the SFQ rules without
+settling: the SFQ leaf scheduler calls them on its thread queue, which no
+run holds (runs fold only the tree's internal queues).
 
 The walks keep a run's levels in step: each node of a run is runnable
 exactly when its only child is, so a sleep that reaches a run idles all
@@ -266,52 +269,25 @@ class SfqQueue:
 
     def is_runnable(self, entity: Any) -> bool:
         """True if ``entity`` is currently marked runnable in this queue."""
-        self.settle()
+        fold = self._state[_FOLD]
+        if fold is not None:
+            fold.settle()
         return bool(self.arena.run[self._slot_of(entity)])
 
     # --- the three SFQ rules ---------------------------------------------
+    #
+    # Each settles a folded run holding this queue, then applies the rule
+    # through the module-level function of the same name below.
 
     def set_runnable(self, entity: Any) -> None:
         """Rule 1: stamp a newly eligible entity with ``S = max(v, F)``."""
-        slot = self._slots.get(id(entity))
-        if slot is None:
-            slot = self._slot_of(entity)
-        state = self._state
-        if state[_FOLD] is not None:
-            state[_FOLD].settle()
-        arena = self.arena
-        if arena.run[slot]:
-            return
-        arena.run[slot] = 1
-        state[_RC] += 1
-        start = arena.fin[slot]
-        if start < state[_VT]:
-            start = state[_VT]
-        arena.start[slot] = start
-        version = arena.ver[slot] + 1
-        arena.ver[slot] = version
-        if self._solo < 0:
-            heappush(self._heap, (start, arena.seq[slot], version, slot))
+        self.settle()
+        queue_set_runnable(self, entity)
 
     def set_blocked(self, entity: Any) -> None:
         """Mark an entity ineligible; updates idle virtual time if needed."""
-        slot = self._slots.get(id(entity))
-        if slot is None:
-            slot = self._slot_of(entity)
-        state = self._state
-        if state[_FOLD] is not None:
-            state[_FOLD].settle()
-        arena = self.arena
-        if not arena.run[slot]:
-            return
-        arena.run[slot] = 0
-        arena.ver[slot] += 1  # lazy-remove from heap
-        state[_RC] -= 1
-        if state[_RC] == 0:
-            # Paper rule: when the server goes idle, v jumps to the maximum
-            # finish tag assigned to any entity.
-            if state[_MF] > state[_VT]:
-                state[_VT] = state[_MF]
+        self.settle()
+        queue_set_blocked(self, entity)
 
     def pick(self) -> Optional[Any]:
         """Rule 3: return the runnable entity with the smallest start tag.
@@ -319,33 +295,8 @@ class SfqQueue:
         The entity stays queued; it is "in service" until the next
         :meth:`charge`.  Returns ``None`` when nothing is runnable.
         """
-        arena = self.arena
-        state = self._state
-        if state[_FOLD] is not None:
-            state[_FOLD].settle()
-        solo = self._solo
-        if solo >= 0:
-            if not arena.run[solo]:
-                return None
-            state[_VT] = arena.start[solo]
-            return arena.ent[solo]
-        heap = self._heap
-        run = arena.run
-        ver = arena.ver
-        slot = -1
-        while heap:
-            head = heap[0]
-            candidate = head[3]
-            if run[candidate] and head[2] == ver[candidate]:
-                slot = candidate
-                break
-            heappop(heap)
-        if slot < 0:
-            return None
-        # valid entries carry the entity's current start tag, and no
-        # runnable start tag is below v, so v simply becomes the head's
-        state[_VT] = head[0]
-        return arena.ent[slot]
+        self.settle()
+        return queue_pick(self)
 
     def charge(self, entity: Any, length: int, weight: Optional[int] = None) -> None:
         """Rule 2: account ``length`` units of completed service.
@@ -353,46 +304,8 @@ class SfqQueue:
         ``weight`` defaults to ``entity.weight`` read *now*, so dynamic
         weight changes (Figure 11) take effect at the next charge.
         """
-        if length < 0:
-            raise SchedulingError("negative charge length %d" % length)
-        slot = self._slots.get(id(entity))
-        if slot is None:
-            slot = self._slot_of(entity)
-        if weight is None:
-            weight = entity.weight
-        state = self._state
-        if state[_FOLD] is not None:
-            state[_FOLD].settle()
-        arena = self.arena
-        if self._float_fast:
-            if weight <= 0:
-                raise ValueError("weight must be positive, got %r" % (weight,))
-            # float-mode TagMath.advance, inlined:
-            finish = arena.start[slot] + length / weight  # schedlint: disable=SL004
-        else:
-            finish = self.tags.advance(arena.start[slot], length, weight)
-        arena.fin[slot] = finish
-        if finish > state[_MF]:
-            state[_MF] = finish
-        if arena.run[slot]:
-            # Still hungry: the next quantum is requested immediately, and
-            # at this instant v equals this entity's start tag, so the new
-            # start tag is simply the finish tag.
-            arena.start[slot] = finish
-            version = arena.ver[slot] + 1
-            arena.ver[slot] = version
-            if self._solo < 0:
-                heap = self._heap
-                entry = (finish, arena.seq[slot], version, slot)
-                # A runnable entity always has its current entry in the
-                # heap, so the heap is not empty.  Right after a pick that
-                # entry usually still heads the heap: re-key it in place
-                # rather than leave it behind for the next pick to pop.
-                head = heap[0]
-                if head[3] == slot and head[2] == version - 1:
-                    heapreplace(heap, entry)
-                else:
-                    heappush(heap, entry)
+        self.settle()
+        queue_charge(self, entity, length, weight)
 
     # --- internals -----------------------------------------------------
 
@@ -414,15 +327,125 @@ class SfqQueue:
 
 # --- module-level per-queue operations ---------------------------------------
 #
-# The leaf SFQ scheduler calls these module-level names instead of the
-# bound methods, so the benchmark's per-layer tracer can patch them where
-# repro.schedulers.sfq_leaf imports them, as it patches the hierarchy's
-# chain walks below.
+# The three SFQ rules on a queue that no folded run holds: the SFQ leaf
+# scheduler's thread queue (runs fold only the tree's internal queues), or
+# one its caller has settled.  They skip the settle the SfqQueue methods do
+# first.  The leaf SFQ scheduler calls these module-level names instead of
+# the bound methods, so the benchmark's per-layer tracer can patch them
+# where repro.schedulers.sfq_leaf imports them, as it patches the
+# hierarchy's chain walks below.
 
-queue_pick = SfqQueue.pick
-queue_charge = SfqQueue.charge  # called without a weight: read live
-queue_set_runnable = SfqQueue.set_runnable
-queue_set_blocked = SfqQueue.set_blocked
+
+def queue_set_runnable(queue: SfqQueue, entity: Any) -> None:
+    """:meth:`SfqQueue.set_runnable` on a queue outside every folded run."""
+    slot = queue._slots.get(id(entity))
+    if slot is None:
+        slot = queue._slot_of(entity)
+    arena = queue.arena
+    if arena.run[slot]:
+        return
+    arena.run[slot] = 1
+    state = queue._state
+    state[_RC] += 1
+    start = arena.fin[slot]
+    if start < state[_VT]:
+        start = state[_VT]
+    arena.start[slot] = start
+    version = arena.ver[slot] + 1
+    arena.ver[slot] = version
+    if queue._solo < 0:
+        heappush(queue._heap, (start, arena.seq[slot], version, slot))
+
+
+def queue_set_blocked(queue: SfqQueue, entity: Any) -> None:
+    """:meth:`SfqQueue.set_blocked` on a queue outside every folded run."""
+    slot = queue._slots.get(id(entity))
+    if slot is None:
+        slot = queue._slot_of(entity)
+    arena = queue.arena
+    if not arena.run[slot]:
+        return
+    arena.run[slot] = 0
+    arena.ver[slot] += 1  # lazy-remove from heap
+    state = queue._state
+    state[_RC] -= 1
+    if state[_RC] == 0:
+        # Paper rule: when the server goes idle, v jumps to the maximum
+        # finish tag assigned to any entity.
+        if state[_MF] > state[_VT]:
+            state[_VT] = state[_MF]
+
+
+def queue_pick(queue: SfqQueue) -> Optional[Any]:
+    """:meth:`SfqQueue.pick` on a queue outside every folded run."""
+    arena = queue.arena
+    solo = queue._solo
+    if solo >= 0:
+        if not arena.run[solo]:
+            return None
+        queue._state[_VT] = arena.start[solo]
+        return arena.ent[solo]
+    heap = queue._heap
+    run = arena.run
+    ver = arena.ver
+    slot = -1
+    while heap:
+        head = heap[0]
+        candidate = head[3]
+        if run[candidate] and head[2] == ver[candidate]:
+            slot = candidate
+            break
+        heappop(heap)
+    if slot < 0:
+        return None
+    # valid entries carry the entity's current start tag, and no
+    # runnable start tag is below v, so v simply becomes the head's
+    queue._state[_VT] = head[0]
+    return arena.ent[slot]
+
+
+def queue_charge(queue: SfqQueue, entity: Any, length: int,
+                 weight: Optional[int] = None) -> None:
+    """:meth:`SfqQueue.charge` on a queue outside every folded run (the
+    leaf scheduler passes no weight: it is read live)."""
+    if length < 0:
+        raise SchedulingError("negative charge length %d" % length)
+    slot = queue._slots.get(id(entity))
+    if slot is None:
+        slot = queue._slot_of(entity)
+    if weight is None:
+        weight = entity.weight
+    arena = queue.arena
+    if queue._float_fast:
+        if weight <= 0:
+            raise ValueError("weight must be positive, got %r" % (weight,))
+        # float-mode TagMath.advance, inlined:
+        finish = arena.start[slot] + length / weight  # schedlint: disable=SL004
+    else:
+        finish = queue.tags.advance(arena.start[slot], length, weight)
+    arena.fin[slot] = finish
+    state = queue._state
+    if finish > state[_MF]:
+        state[_MF] = finish
+    if arena.run[slot]:
+        # Still hungry: the next quantum is requested immediately, and
+        # at this instant v equals this entity's start tag, so the new
+        # start tag is simply the finish tag.
+        arena.start[slot] = finish
+        version = arena.ver[slot] + 1
+        arena.ver[slot] = version
+        if queue._solo < 0:
+            heap = queue._heap
+            entry = (finish, arena.seq[slot], version, slot)
+            # A runnable entity always has its current entry in the
+            # heap, so the heap is not empty.  Right after a pick that
+            # entry usually still heads the heap: re-key it in place
+            # rather than leave it behind for the next pick to pop.
+            head = heap[0]
+            if head[3] == slot and head[2] == version - 1:
+                heapreplace(heap, entry)
+            else:
+                heappush(heap, entry)
 
 
 #: one entry of a cached chain: an ancestor level or a folded run (see
