@@ -103,12 +103,12 @@ class HierarchicalScheduler(TopScheduler):
         if type(leaf) is not LeafNode:  # unusual: subclass or detached thread
             leaf = require_leaf(leaf)
         leaf.scheduler.on_runnable(thread, now)
-        if leaf.runnable:
+        if leaf._runnable:
             return
         if self._bus.active:
             self.setrun(leaf)
             return
-        leaf.runnable = True
+        leaf._runnable = True
         chain = leaf.chain
         if chain is None:
             chain = self._chain_for(leaf)
@@ -120,8 +120,8 @@ class HierarchicalScheduler(TopScheduler):
             leaf = require_leaf(leaf)
         scheduler = leaf.scheduler
         scheduler.on_block(thread, now)
-        if leaf.runnable and not scheduler.has_runnable():
-            leaf.runnable = False
+        if leaf._runnable and not scheduler.has_runnable():
+            leaf._runnable = False
             chain = leaf.chain
             if chain is None:
                 chain = self._chain_for(leaf)
@@ -129,7 +129,9 @@ class HierarchicalScheduler(TopScheduler):
 
     def pick_next(self, now: int) -> Optional["SimThread"]:
         root = self.structure.root
-        if not root.runnable:
+        # the root's own flag: if its queue is solo, the root tops a run
+        # and holds the run's flag
+        if not root._runnable:
             return None
         leaf, depth = pick_leaf(root)
         if leaf is None:
@@ -231,9 +233,9 @@ class HierarchicalScheduler(TopScheduler):
 
     def setrun(self, leaf: LeafNode) -> None:
         """Mark ``leaf`` eligible and propagate up to the first runnable ancestor."""
-        if leaf.runnable:
+        if leaf._runnable:
             return
-        leaf.runnable = True
+        leaf._runnable = True
         chain = self._chain_for(leaf)
         if not self._bus.active:
             wake_chain(chain)
@@ -260,13 +262,13 @@ class HierarchicalScheduler(TopScheduler):
 
     def sleep(self, leaf: LeafNode) -> None:
         """Mark ``leaf`` idle and propagate up while ancestors become idle."""
-        if not leaf.runnable:
+        if not leaf._runnable:
             return
-        leaf.runnable = False
+        leaf._runnable = False
         sleep_chain(self._chain_for(leaf))
 
     def _sleep_if_idle(self, leaf: LeafNode) -> None:
-        if leaf.runnable and not leaf.scheduler.has_runnable():
+        if leaf._runnable and not leaf.scheduler.has_runnable():
             self.sleep(leaf)
 
     # --- hsfq_move ----------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
-from repro.core.sfq import SfqQueue
+from repro.core.sfq import _FOLD, SfqQueue
 from repro.core.tags import TagMath
 from repro.errors import NotALeafError, StructureError
 
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Node:
     """Common state for internal and leaf nodes."""
 
-    __slots__ = ("name", "weight", "parent", "node_id", "runnable", "path",
+    __slots__ = ("name", "weight", "parent", "node_id", "_runnable", "path",
                  "view")
 
     def __init__(self, name: str, weight: int,
@@ -37,7 +37,9 @@ class Node:
         self.weight = weight
         self.parent = parent
         self.node_id = -1  # assigned by SchedulingStructure
-        self.runnable = False
+        #: the eligibility flag behind :attr:`runnable`, which the
+        #: hierarchy's walks read and write directly
+        self._runnable = False
         #: absolute pathname, e.g. ``/best-effort/user1``.  Computed once:
         #: nodes never rename or reparent (hsfq has no rename; hsfq_move
         #: moves threads, not nodes), and traces read the path per event.
@@ -56,6 +58,16 @@ class Node:
     def is_leaf(self) -> bool:
         """True for leaf nodes (thread holders), False for internal ones."""
         raise NotImplementedError
+
+    @property
+    def runnable(self) -> bool:
+        """Whether this node is eligible for service: some thread below it
+        is runnable (kept by ``hsfq_setrun`` and ``hsfq_sleep``)."""
+        return self._runnable
+
+    @runnable.setter
+    def runnable(self, value: bool) -> None:
+        self._runnable = value
 
     @property
     def depth(self) -> int:
@@ -103,6 +115,23 @@ class InternalNode(Node):
     @property
     def is_leaf(self) -> bool:
         return False
+
+    @property
+    def runnable(self) -> bool:
+        """Whether this node is eligible for service.
+
+        The nodes of a folded run of solo queues share one flag, held by
+        the run's top node (see :class:`repro.core.sfq.SoloRun`): a run's
+        nodes are runnable exactly when its bottom child is, so the walks
+        mark the run once.
+        """
+        fold = self.queue._state[_FOLD]
+        return (self if fold is None else fold.top)._runnable
+
+    @runnable.setter
+    def runnable(self, value: bool) -> None:
+        fold = self.queue._state[_FOLD]
+        (self if fold is None else fold.top)._runnable = value
 
     def add_child(self, child: Node) -> None:
         """Attach ``child`` and register it in this node's SFQ queue."""

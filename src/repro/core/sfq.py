@@ -60,7 +60,8 @@ the run's top to the node below its bottom, adding the levels it skips to
 the depth it returns.  A charge, pick, wake or sleep that reaches the run
 appends one op to the run's pending log instead of writing the run's
 queues: their tags, their child's ``run`` flag and their runnable count
-wait for the log, while ``node.runnable`` stays eager, level by level.
+wait for the log.  The run's nodes share one ``runnable`` flag, held by
+its top node, which the walks set and clear once per run.
 :meth:`SoloRun.settle` replays the log level by level, in order, exactly as
 :func:`charge_chain`, :func:`pick_leaf`, :func:`wake_chain` and
 :func:`sleep_chain` would have applied it: float mode evaluates
@@ -88,11 +89,15 @@ settling: the SFQ leaf scheduler calls them on its thread queue, which no
 run holds (runs fold only the tree's internal queues).
 
 The walks keep a run's levels in step: each node of a run is runnable
-exactly when its only child is, so a sleep that reaches a run idles all
-of it, and the descent, entering a run at a runnable top, logs one pick
-for every level.  A wake that finds a node of the run already runnable
-(a state only direct queue calls make) stops there, and its op records
-how far it got.
+exactly when its only child is, which is why one flag serves them all.
+A wake reaches a run only when the node below it has just become
+runnable, so it marks every level; a sleep that reaches a run idles all
+of it; and the descent, entering a run at a runnable top, logs one pick
+for every level.  ``InternalNode.runnable`` reads and writes a run
+node's flag through the run, and :meth:`SoloRun.unfold` hands each node
+the shared value back.  (A wake that finds the run already runnable, a
+state only writes to a node's flag from outside make, marks the bottom
+level and stops, as the eager walk would.)
 
 Module-level hot functions
 --------------------------
@@ -477,20 +482,21 @@ class SoloRun:
     ops not yet applied to the run's queues: their tags, their child's
     runnable flag and their runnable count are current only after
     :meth:`settle`, which starts from the values it last wrote (the queue
-    methods settle before they change one).  The nodes' ``runnable``
-    flags are kept eagerly by the walks.  Every queue of the run points
-    back here from its state vector, so that its readers settle the run
-    and the descent jumps over it from its top.  The run lives until the
-    tree's shape changes: :func:`unfold_chain` settles it and takes it off
+    methods settle before they change one).  The run's nodes share one
+    ``runnable`` flag, the top node's, which the walks keep eagerly:
+    ``InternalNode.runnable`` reads it for every node of the run.  Every
+    queue of the run points back here from its state vector, so that its
+    readers settle the run and the descent jumps over it from its top.
+    The run lives until the tree's shape changes: :func:`unfold_chain`
+    settles it, gives each of its nodes the shared flag and takes it off
     its queues.
     """
 
-    __slots__ = ("levels", "nodes", "log", "split", "bottom", "top",
-                 "depth", "wake", "entry")
+    __slots__ = ("levels", "log", "split", "bottom", "top", "depth",
+                 "wake", "entry")
 
     def __init__(self, bottom: Any) -> None:
         levels: List[ChainEntry] = []
-        nodes: List[Any] = []
         node = bottom
         parent = node.parent
         while parent is not None:
@@ -504,15 +510,12 @@ class SoloRun:
             levels.append((queue, queue._float_fast, None, queue._heap,
                            state, arena.start, arena.fin, arena.run,
                            arena.ver, arena.seq, slot, node, parent))
-            nodes.append(parent)
             node = parent
             parent = node.parent
         self.levels = levels
-        #: the nodes owning the run's queues, bottom first: a wake or
-        #: sleep marks them eagerly
-        self.nodes = nodes
         self.log: List[int] = []
-        #: whether the log holds a wake that stopped inside the run
+        #: whether the log holds a wake that stopped at the run's bottom
+        #: level
         self.split = False
         self.bottom = bottom
         self.top = node
@@ -547,8 +550,8 @@ class SoloRun:
             return
         # A level that starts from the same tags, flag and weight as the
         # level below it takes the same steps to the same values, so it
-        # copies them -- unless a wake that stopped inside the run treats
-        # the levels below and above its stop differently.
+        # copies them -- unless a wake that stopped at the bottom level
+        # treats that level and the ones above it differently.
         split = self.split
         below = None
         for index, (queue, float_fast, __, ___, state, start_col, fin_col,
@@ -620,12 +623,15 @@ class SoloRun:
         self.split = False
 
     def unfold(self) -> None:
-        """Settle the run and take it off its queues (a shape change)."""
+        """Settle the run, give each of its nodes the run's ``runnable``
+        flag and take the run off its queues (a shape change)."""
         self.settle()
+        runnable = self.top._runnable
         for level in self.levels:
             state = level[_CH_STATE]
             if state[_FOLD] is self:
                 state[_FOLD] = None
+                level[_CH_PARENT]._runnable = runnable
 
 
 def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
@@ -741,28 +747,27 @@ def wake_chain(chain: List[ChainEntry]) -> None:
 
     Per level: :meth:`SfqQueue.set_runnable` for the child, stopping after
     the first parent that was already runnable — exactly the walk in
-    :meth:`HierarchicalScheduler.setrun`.  In a folded run the walk marks
-    the nodes runnable level by level and logs the rest for the run.
+    :meth:`HierarchicalScheduler.setrun`.  A wake that reaches a folded
+    run finds the node below it newly runnable, so it marks the run's
+    shared flag and logs a wake through every level for the run.
     """
     for (__, ___, fold, heap, state, start_col, fin_col, run_col,
          ver_col, seq_col, slot, ____, parent) in chain:
         if fold is not None:
-            nodes = fold.nodes
-            for parent in nodes:
-                if parent.runnable:
-                    break
-                parent.runnable = True
-            else:
-                # the wake reached every level
-                log = fold.log
-                log.append(fold.wake)
-                if len(log) >= _LOG_LIMIT:
-                    fold.settle()
-                continue
-            # the wake ends at a runnable node of the run
-            fold.split = True
-            fold.defer(_WAKE - nodes.index(parent))
-            return
+            top = fold.top
+            if top._runnable:
+                # the node below was idle under a runnable run (a state
+                # only writes to a node's flag from outside make): mark
+                # it at the bottom level and stop at the run's first node
+                fold.split = True
+                fold.defer(_WAKE)
+                return
+            top._runnable = True
+            log = fold.log
+            log.append(fold.wake)
+            if len(log) >= _LOG_LIMIT:
+                fold.settle()
+            continue
         if not run_col[slot]:
             run_col[slot] = 1
             state[_RC] += 1
@@ -773,9 +778,9 @@ def wake_chain(chain: List[ChainEntry]) -> None:
             version = ver_col[slot] + 1
             ver_col[slot] = version
             heappush(heap, (start, seq_col[slot], version, slot))
-        if parent.runnable:
+        if parent._runnable:
             return
-        parent.runnable = True
+        parent._runnable = True
 
 
 def pick_leaf(root: Any) -> Tuple[Optional[Any], int]:
@@ -838,13 +843,13 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
     first ancestor queue that still has runnable children — exactly the
     walk in :meth:`HierarchicalScheduler.sleep`.  A solo queue's runnable
     count is its one child's flag, so a sleep that reaches a folded run
-    idles every node of it, and logs the rest for the run.
+    idles every node of it: it clears the run's shared flag and logs the
+    rest for the run.
     """
     for (__, ___, fold, ____, state, _____, ______, run_col,
          ver_col, _______, slot, ________, parent) in chain:
         if fold is not None:
-            for parent in fold.nodes:
-                parent.runnable = False
+            fold.top._runnable = False
             log = fold.log
             log.append(_SLEEP)
             if len(log) >= _LOG_LIMIT:
@@ -859,4 +864,4 @@ def sleep_chain(chain: List[ChainEntry]) -> None:
                     state[_VT] = state[_MF]
         if state[_RC] > 0:
             return
-        parent.runnable = False
+        parent._runnable = False

@@ -302,3 +302,31 @@ def test_late_wake_stamps_max_of_v_and_f_in_a_new_run():
                  ("wake", 1, 0), ("serve", 0, 10)])
     for exact in (False, True):
         check(exact, tree, [(0, 1), (1, 1), (2, 1)], script, False, None)
+
+
+def test_a_run_shares_one_runnable_flag():
+    """The nodes of a folded run read and write one flag: written from
+    outside on one node, it reads as every node of the per-level tree
+    written alike; a wake that then finds the run runnable marks the
+    bottom level and stops there, and ``mknod`` hands each node the flag
+    back when it unfolds the run."""
+    tree: List[Spec] = [([2, 3, 1], 1, None), ([], 1, None)]
+    for exact in (False, True):
+        want = Twin(ReferenceWalk, exact, tree, [(0, 1), (1, 1)])
+        got = Twin(HierarchicalScheduler, exact, tree, [(0, 1), (1, 1)])
+        for twin in (want, got):
+            twin.apply("wake", 0, 0)
+            twin.apply("block", 0, 0)
+        assert [node.runnable for node in got.internals] == [False] * 4
+        for node in want.internals[1:]:
+            node.runnable = True
+        got.internals[2].runnable = True
+        assert got.flags() == want.flags()
+        for twin in (want, got):
+            twin.apply("wake", 0, 0)
+        assert got.flags() == want.flags()
+        assert got.tags() == want.tags()
+        for twin in (want, got):
+            twin.apply("mknod", 2, 0)
+        assert got.flags() == want.flags()
+        assert got.tags() == want.tags()
