@@ -460,7 +460,7 @@ ChainEntry = Tuple[Any, ...]
 # Indices into a chain entry (the walks below unpack it in this order).
 _CH_QUEUE = 0
 _CH_FLOAT = 1
-_CH_FOLD = 2  # the SoloRun of a run entry; None on a level entry
+_CH_FOLD = 2  # the SoloRun holding the level, else None
 _CH_HEAP = 3
 _CH_STATE = 4
 _CH_START = 5
@@ -477,7 +477,10 @@ class SoloRun:
     """A maximal run of solo ancestor queues, walked as one chain entry.
 
     ``levels`` holds one level entry per queue of the run, bottom first:
-    the tuples an unfolded chain would hold.  ``bottom`` is the node below
+    the tuples an unfolded chain would hold, with the run in their
+    ``_CH_FOLD`` field.  The first of them is the run's entry in a cached
+    chain, where the walks treat it as the whole run.  ``bottom`` is the
+    node below
     the run and ``top`` the node owning its top queue.  ``log`` holds the
     ops not yet applied to the run's queues: their tags, their child's
     runnable flag and their runnable count are current only after
@@ -493,7 +496,7 @@ class SoloRun:
     """
 
     __slots__ = ("levels", "log", "split", "bottom", "top", "depth",
-                 "wake", "entry")
+                 "wake")
 
     def __init__(self, bottom: Any) -> None:
         levels: List[ChainEntry] = []
@@ -507,7 +510,7 @@ class SoloRun:
             state = queue._state
             state[_FOLD] = self
             arena = queue.arena
-            levels.append((queue, queue._float_fast, None, queue._heap,
+            levels.append((queue, queue._float_fast, self, queue._heap,
                            state, arena.start, arena.fin, arena.run,
                            arena.ver, arena.seq, slot, node, parent))
             node = parent
@@ -523,8 +526,6 @@ class SoloRun:
         self.depth = len(levels)
         #: the op of a wake that reaches every level
         self.wake = _WAKE - len(levels) + 1
-        #: the run's entry in a cached chain
-        self.entry: ChainEntry = (None, None, self) + (None,) * 10
 
     def defer(self, op: int) -> None:
         """Log one op for the run's queues; replay the log once it is
@@ -640,9 +641,9 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
     An ancestor whose queue has siblings to order gets a *level entry*: its
     queue object and tag mode, heap, state vector, the arena columns and
     the child's slot, so the per-level work is pure list indexing.  Each
-    maximal run of solo ancestor queues gets one *run entry* instead,
-    whose ``_CH_FOLD`` field is the run's :class:`SoloRun` (and every
-    other field ``None``): the walks log their op there, and
+    maximal run of solo ancestor queues gets one *run entry* instead: the
+    level entry of the run's bottom queue, whose ``_CH_FOLD`` field is the
+    run's :class:`SoloRun`.  The walks log their op there, and
     :func:`expand_chain` gives back the run's levels, settled.  A run is
     found here the first time a chain through it is built, and shared by
     every later chain through it.
@@ -662,7 +663,7 @@ def build_ancestor_chain(leaf: Any) -> List[ChainEntry]:
             fold = queue._state[_FOLD]
             if fold is None:
                 fold = SoloRun(node)
-            chain.append(fold.entry)
+            chain.append(fold.levels[0])
             node = fold.top
         else:
             arena = queue.arena
