@@ -480,10 +480,9 @@ class SoloRun:
     the tuples an unfolded chain would hold, with the run in their
     ``_CH_FOLD`` field.  The first of them is the run's entry in a cached
     chain, where the walks treat it as the whole run.  ``bottom`` is the
-    node below
-    the run and ``top`` the node owning its top queue.  ``log`` holds the
-    ops not yet applied to the run's queues: their tags, their child's
-    runnable flag and their runnable count are current only after
+    node below the run and ``top`` the node owning its top queue.  ``log``
+    holds the ops not yet applied to the run's queues: their tags, their
+    child's runnable flag and their runnable count are current only after
     :meth:`settle`, which starts from the values it last wrote (the queue
     methods settle before they change one).  The run's nodes share one
     ``runnable`` flag, the top node's, which the walks keep eagerly:
