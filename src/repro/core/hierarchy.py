@@ -22,6 +22,7 @@ from repro.core.node import InternalNode, LeafNode, Node, require_leaf
 from repro.core.sfq import (
     _CH_ENTITY,
     _CH_FIN,
+    _CH_FOLD,
     _CH_PARENT,
     _CH_SLOT,
     _CH_START,
@@ -241,14 +242,16 @@ class HierarchicalScheduler(TopScheduler):
             wake_chain(chain)
             return
         # wake_chain stamps every level up to and including the first
-        # ancestor that is already runnable: count them before it runs
+        # ancestor that is already runnable: count them before it runs (a
+        # level of a folded run reads the flag its run's nodes share)
         levels = leaf.levels
         if levels is None:
             levels = expand_chain(chain)
         walked = 0
         for entry in levels:
             walked += 1
-            if entry[_CH_PARENT].runnable:
+            fold = entry[_CH_FOLD]
+            if (entry[_CH_PARENT] if fold is None else fold.top)._runnable:
                 break
         wake_chain(chain)
         if leaf.levels is None:

@@ -330,3 +330,15 @@ def test_a_run_shares_one_runnable_flag():
             twin.apply("mknod", 2, 0)
         assert got.flags() == want.flags()
         assert got.tags() == want.tags()
+
+
+def test_traced_wake_counts_levels_by_the_run_flag():
+    """A run rebuilt after a shape change starts from nodes whose own flags
+    were handed back runnable; once the run idles, a traced wake must read
+    the run's shared flag, not those stale per-node flags, to count the
+    levels it stamps."""
+    tree: List[Spec] = [([2, 3, 1], 1, None), ([], 1, None)]
+    script = [("wake", 0, 0), ("mknod", 0, 0), ("serve", 0, 5),
+              ("block", 0, 0), ("wake", 0, 0)]
+    for exact in (False, True):
+        check(exact, tree, [(0, 1), (1, 1)], script, False, 4)
