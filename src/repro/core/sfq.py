@@ -182,8 +182,7 @@ class SfqQueue:
         slots = self._slots
         if key in slots:
             raise SchedulingError("entity %r already in SFQ queue" % (entity,))
-        if self._state[_FOLD] is not None:
-            self._state[_FOLD].settle()
+        self.settle()
         arena = self.arena
         slot = arena.alloc(entity, self.tags.zero(), self._arrivals)
         self._arrivals += 1
@@ -207,8 +206,7 @@ class SfqQueue:
     def remove(self, entity: Any) -> None:
         """Deregister ``entity``; it must not be runnable."""
         slot = self._slot_of(entity)
-        if self._state[_FOLD] is not None:
-            self._state[_FOLD].settle()
+        self.settle()
         arena = self.arena
         if arena.run[slot]:
             raise SchedulingError(
